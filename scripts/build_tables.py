@@ -2,11 +2,12 @@
 
 Produces fn0.nlt .. fn10.nlt (NLT1 format, one byte per coefficient word)
 plus fn10.ams (AMS1, the deduplicated sweep matrices) in the artifact
-directory.  Roughly 4 s per table and under a minute for the orbit run on a
-laptop-class core.
+directory.  On a shared 2-core Xeon VM in its slow state (Python 3.11.7,
+numpy 2.4.6, OpenBLAS 0.3.31) a table took about 0.5 s and the orbit run
+0.7 s; 7 s in all.
 
 Usage:
-    python scripts/build_tables.py --artifacts artifacts [--workers N]
+    python scripts/build_tables.py --artifacts artifacts
 """
 
 import argparse
@@ -23,7 +24,6 @@ from rmcover.orbit import MatrixSet, bfs_orbit, coset_key
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--artifacts", default="artifacts")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--only", type=int, default=None,
                     help="build a single class index instead of all")
     args = ap.parse_args()
@@ -37,7 +37,7 @@ def main() -> int:
             print(f"fn_{i}: exists, skipping")
             continue
         t0 = time.time()
-        table = build_nl_table(fn_rep(i), 3, workers=args.workers)
+        table = build_nl_table(fn_rep(i), 3)
         table.save(path, meta={"command": command})
         print(f"fn_{i}: {path} ({time.time()-t0:.1f}s, "
               f"nl2={table.nl_prev}, ml2={table.ml_prev})", flush=True)

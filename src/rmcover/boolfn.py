@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 MAX_VARS = 7
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "homogeneous_part",
     "monomial_masks",
     "popcount_mask",
+    "xor_span",
 ]
 
 
@@ -87,6 +90,15 @@ def popcount_mask(n: int, r: int) -> int:
     for pos in monomial_masks(n, r):
         m |= 1 << pos
     return m
+
+
+def xor_span(gens, dtype) -> np.ndarray:
+    """XOR of every subset of `gens` (read-only), indexed by the subset's mask."""
+    out = np.zeros(1 << len(gens), dtype=dtype)
+    for i, g in enumerate(gens):
+        out[1 << i:2 << i] = out[:1 << i] ^ dtype(g)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -100,8 +100,7 @@ class Workspace:
             except ValueError as exc:
                 raise CliError(str(exc)) from exc
         self._guard_long(f"value table for fn_{index}")
-        t = nonlin.build_nl_table(classify.fn_rep(index), 3,
-                                  workers=self.cfg.workers)
+        t = nonlin.build_nl_table(classify.fn_rep(index), 3)
         os.makedirs(self.root, exist_ok=True)
         t.save(path, meta=dict(self.cfg.meta))
         return t
@@ -350,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tables-dir", default="artifacts",
                    help="artifact directory for NLT1/AMS1 files")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes for the type-(6,10) sweep")
     p.add_argument("--opt-in-long", action="store_true",
                    help="allow long-running builds (tables, full sweep)")
     p.add_argument("--checkpoint-dir", default=None)

@@ -13,10 +13,14 @@ homogeneous degree-r coefficient word g (canonical monomial order).  Level
 sets F(k) = {g : value = k} of these tables are the objects the covering
 condition manipulates.
 
-Everything heavy is vectorized: the degree-2 base case runs batched 2^n-point
-Walsh transforms over all words at once, and the degree-3 tables combine the
-two half-tables with a min-plus XOR convolution.  A full (n=6, r=3) table
-(2^20 entries) builds in a few seconds.
+Everything heavy is dense BLAS work.  Order-1 spectra are float32 GEMMs with
+the Sylvester-Hadamard matrix; for the degree-3 tables one GEMM per block of
+half-words u covers every quadratic word w.  The two half-tables combine by
+a min-plus XOR convolution, evaluated as a threshold convolution in the
+Walsh domain with float64 GEMMs (a direct broadcast minimum for rows of
+width <= 64).  A full (n=6, r=3) table (2^20 entries) builds in 0.3-0.8 s on
+a shared 2-core Xeon VM in its slow state (Python 3.11.7, numpy 2.4.6,
+OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .boolfn import (
     monomial_masks,
     split,
     weight,
+    xor_span,
 )
 
 __all__ = [
@@ -99,24 +104,32 @@ def nl1(f: BooleanFunction) -> int:
     return (1 << (f.n - 1)) - max(abs(v) for v in spectrum) // 2
 
 
-def _nl1_batch(tts: np.ndarray, n: int) -> np.ndarray:
-    """nl1 of many functions given as packed uint64 truth tables."""
-    size = 1 << n
+@lru_cache(maxsize=None)
+def _sylvester(k: int, dtype) -> np.ndarray:
+    """The 2^k x 2^k Sylvester-Hadamard matrix H[x, a] = (-1)^popcount(x & a)."""
+    idx = np.arange(1 << k)
+    h = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(dtype)
+    h.setflags(write=False)
+    return h
+
+
+def _signs(tts: np.ndarray, n: int) -> np.ndarray:
+    """(-1)^f(x) of packed uint64 truth tables, as a float32 (count, 2^n) matrix."""
     flat = np.ascontiguousarray(tts, dtype="<u8").reshape(-1)
-    nfun = flat.shape[0]
-    bits = np.unpackbits(flat.view(np.uint8).reshape(nfun, 8), axis=1,
-                         bitorder="little", count=size)
-    dtype = np.int16 if n >= 7 else np.int8
-    a = (1 - 2 * bits.astype(dtype))
-    for d in range(n):
-        h = 1 << d
-        a = a.reshape(nfun, size // (2 * h), 2, h)
-        out = np.empty_like(a)
-        out[:, :, 0, :] = a[:, :, 0, :] + a[:, :, 1, :]
-        out[:, :, 1, :] = a[:, :, 0, :] - a[:, :, 1, :]
-        a = out
-    peak = np.abs(a.reshape(nfun, size)).max(axis=1)
-    return ((size >> 1) - (peak >> 1)).astype(np.uint8)
+    bits = np.unpackbits(flat.view(np.uint8).reshape(-1, 8), axis=1,
+                         bitorder="little", count=1 << n)
+    return 1 - 2 * bits.astype(np.float32)
+
+
+def _nl1_batch(tts: np.ndarray, n: int) -> np.ndarray:
+    """nl1 of many functions given as packed uint64 truth tables.
+
+    The spectra are one float32 GEMM with the Sylvester-Hadamard matrix;
+    every entry is an integer of absolute value at most 2^n, so it is exact.
+    """
+    spectra = _signs(tts, n) @ _sylvester(n, np.float32)
+    np.abs(spectra, out=spectra)
+    return ((1 << (n - 1)) - spectra.max(axis=1) / 2).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +147,8 @@ def _monomial_tt(n: int, mask: int) -> int:
 
 @lru_cache(maxsize=None)
 def _word_tts(n: int, r: int) -> np.ndarray:
-    """Truth tables (uint64) of every H_n^(r) coefficient word, by doubling."""
-    masks = monomial_masks(n, r)
-    out = np.zeros(1 << len(masks), dtype=np.uint64)
-    width = 1
-    for m in masks:
-        out[width:2 * width] = out[:width] ^ np.uint64(_monomial_tt(n, m))
-        width <<= 1
-    out.setflags(write=False)
-    return out
+    """Truth tables (uint64) of every H_n^(r) coefficient word."""
+    return xor_span([_monomial_tt(n, m) for m in monomial_masks(n, r)], np.uint64)
 
 
 @lru_cache(maxsize=None)
@@ -163,131 +169,131 @@ def _spread_tables(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """
     full_index = {m: i for i, m in enumerate(monomial_masks(n, r))}
     top = 1 << (n - 1)
-    u_pos = [full_index[m] for m in monomial_masks(n - 1, r)]
-    v_pos = [full_index[m | top] for m in monomial_masks(n - 1, r - 1)]
-
-    def doubling(positions):
-        out = np.zeros(1 << len(positions), dtype=np.uint32)
-        width = 1
-        for p in positions:
-            out[width:2 * width] = out[:width] | np.uint32(1 << p)
-            width <<= 1
-        out.setflags(write=False)
-        return out
-
-    return doubling(u_pos), doubling(v_pos)
+    u_bits = [1 << full_index[m] for m in monomial_masks(n - 1, r)]
+    v_bits = [1 << full_index[m | top] for m in monomial_masks(n - 1, r - 1)]
+    return xor_span(u_bits, np.uint32), xor_span(v_bits, np.uint32)
 
 
-@lru_cache(maxsize=None)
-def _scatter_index(n: int, r: int) -> np.ndarray:
-    """Canonical word index for each (u, v) pair, ready for scattering."""
-    spread_u, spread_v = _spread_tables(n, r)
-    idx = (spread_u[:, None] | spread_v[None, :]).astype(np.intp)
-    idx.setflags(write=False)
-    return idx
+def _nl1_matrix(base_tt: int, ttu: np.ndarray, ttw: np.ndarray, n: int) -> np.ndarray:
+    """nl1(base + u + w) for all (u, w) word pairs, as a (U, W) uint8 matrix.
 
-
-def _nl1_matrix(base_tt: int, ttu: np.ndarray, ttw: np.ndarray, n: int,
-                chunk: int = 1 << 18) -> np.ndarray:
-    """nl1(base + u + w) for all (u, w) word pairs, as a (U, W) uint8 matrix."""
-    tts = (np.uint64(base_tt) ^ ttu[:, None]) ^ ttw[None, :]
-    flat = tts.reshape(-1)
-    out = np.empty(flat.shape[0], dtype=np.uint8)
-    for s in range(0, flat.shape[0], chunk):
-        out[s:s + chunk] = _nl1_batch(flat[s:s + chunk], n)
-    return out.reshape(tts.shape)
+    For a block of u, the spectra of base + u + w over every w are one GEMM:
+    signs(w) @ [diag(signs(base + u)) H], stacked over the block.  Every
+    spectrum entry is an integer of absolute value at most 2^n <= 32, so
+    float32 is exact.
+    """
+    size = 1 << n
+    sw = _signs(ttw, n)
+    su = _signs(np.uint64(base_tt) ^ ttu, n)
+    h = _sylvester(n, np.float32)
+    out = np.empty((su.shape[0], sw.shape[0]), dtype=np.uint8)
+    block = 16  # a (16 * 2^n, W) float32 spectra block: 2 MB at (6,3)
+    for s in range(0, su.shape[0], block):
+        # rows (a, u) of H[a, x] * signs(base + u)[x]; the max over a is then
+        # an elementwise maximum of contiguous (u, w) planes
+        m = (h[:, None, :] * su[s:s + block]).reshape(-1, size)
+        spectra = m @ sw.T
+        np.abs(spectra, out=spectra)
+        peak = spectra.reshape(size, -1, sw.shape[0]).max(axis=0)
+        out[s:s + block] = (size >> 1) - peak / 2
+    return out
 
 
 def _minplus_rows(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """Row-wise min-plus XOR convolution: C[u, v] = min_w n1[u,w] + n2[u, w^v].
 
-    Walks v in Gray-code order; each step permutes n2's columns by one XOR
-    bit, which is a pair of contiguous block swaps rather than a gather.
+    Rows of width <= 64 take the direct broadcast minimum; wider rows go
+    through the Walsh-domain threshold convolution in blocks of rows.
     """
     rows, width = n1.shape
+    if width <= 64:
+        xi = _xor_index(width.bit_length() - 1)
+        return (n1[:, None, :] + n2[:, xi]).min(axis=2)
     out = np.empty((rows, width), dtype=np.uint8)
-    perm = n2.copy()
-    buf = np.empty_like(n1)
-    np.add(n1, perm, out=buf)
-    out[:, 0] = buf.min(axis=1)
-    v = 0
-    for i in range(1, width):
-        k = (i & -i).bit_length() - 1
-        h = 1 << k
-        perm = np.ascontiguousarray(
-            perm.reshape(rows, width // (2 * h), 2, h)[:, :, ::-1, :]
-        ).reshape(rows, width)
-        v ^= h
-        np.add(n1, perm, out=buf)
-        out[:, v] = buf.min(axis=1)
+    block = 16  # keeps a block's float64 transforms (~1 MB each) in cache
+    for s in range(0, rows, block):
+        out[s:s + block] = _minplus_walsh(n1[s:s + block], n2[s:s + block])
     return out
 
 
-def _check_table_size(n: int, r: int) -> int:
-    if not 2 <= r <= n:
-        raise ValueError(f"table order r={r} out of range 2..{n}")
-    m = comb(n, r)
-    if (1 << m) > TABLE_WORD_CAP:
-        raise ValueError(
-            f"value table for (n={n}, r={r}) spans 2^{m} words, over the cap"
-        )
-    return m
+def _minplus_walsh(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """Threshold form of the min-plus XOR convolution.
 
-
-def nl_table_values(f: BooleanFunction, r: int,
-                    u_range: tuple[int, int] | None = None) -> np.ndarray:
-    """The value array nl_{r-1}(f + g) over all degree-r words g.
-
-    Indexed by the canonical coefficient word.  `u_range` restricts the
-    computation to a half-open range of the top-variable-free half-word u
-    (used by multi-worker builds); the returned array is then the partial
-    (u, v) block in canonical positions left to the caller to place.
+    With offsets a = n1 - min(row), b = n2 - min(row), C[u, v] - the two
+    row minima is the least s with sum_x (A_x * B_{<=s-x})[v] > 0, where
+    A_x = [a = x], B_{<=t} = [b <= t] and * is XOR convolution.  Only sums
+    of attained offsets are candidates.  The convolutions are products of
+    Walsh transforms, each a pair of GEMMs with the Kronecker factors of
+    H_width = H_P (x) H_Q on a [level, i, row, j] layout (word = i*Q + j).
+    The A_x have disjoint supports, so every Walsh-domain sum is at most
+    width^2 and every partial sum of the inverse transform at most
+    width^3 = 2^30 for width 1024: float64 (exact below 2^53) is exact.
     """
-    n = f.n
-    _check_table_size(n, r)
-    if r == 2:
-        if u_range is not None:
-            raise ValueError("u_range applies to r >= 3 builds only")
-        ttw = _word_tts(n, 2)
-        return _nl1_batch(np.uint64(f.tt) ^ ttw, n)
-    if r == 3:
-        return _table_r3(f, u_range)
-    if u_range is not None:
-        raise ValueError("u_range applies to r == 3 builds only")
-    return _table_generic(f, r)
+    rows, width = n1.shape
+    m = width.bit_length() - 1
+    hp, hq = _sylvester(m // 2, np.float64), _sylvester(m - m // 2, np.float64)
+    p, q = hp.shape[0], hq.shape[0]
+
+    def wht(x):
+        y = np.matmul(hp, x.reshape(-1, p, rows * q)).reshape(-1, q) @ hq
+        return y.reshape(x.shape)
+
+    lo1, lo2 = n1.min(axis=1), n2.min(axis=1)
+    d1 = (n1 - lo1[:, None]).reshape(rows, p, q).transpose(1, 0, 2)
+    d2 = (n2 - lo2[:, None]).reshape(rows, p, q).transpose(1, 0, 2)
+    lv1 = np.unique(d1).astype(np.intp)
+    lv2 = np.unique(d2).astype(np.intp)
+    fa = wht((d1 == lv1[:, None, None, None]).astype(np.float64))
+    fb = wht((d2 <= lv2[:, None, None, None]).astype(np.float64))
+    # at the largest candidate every v qualifies, so it needs no transform
+    sums = np.unique(lv1[:, None] + lv2[None, :])
+    acc = np.zeros((sums.shape[0] - 1, p, rows, q))
+    for i, s in enumerate(sums[:-1]):
+        for k, x in enumerate(lv1):
+            t = np.searchsorted(lv2, s - x, side="right") - 1
+            if t >= 0:
+                acc[i] += fa[k] * fb[t]
+    # a hit at one candidate stays a hit at every larger one
+    first = (wht(acc) <= 0).sum(axis=0)
+    c = sums[first] + lo1[None, :, None] + lo2[None, :, None]
+    return c.transpose(1, 0, 2).reshape(rows, width)
 
 
-def _table_r3(f: BooleanFunction, u_range=None) -> np.ndarray:
-    n = f.n
-    f1, f2 = split(f)
-    ttu = _word_tts(n - 1, 3)
-    ttw = _word_tts(n - 1, 2)
-    if u_range is not None:
-        ttu = ttu[u_range[0]:u_range[1]]
-    n1 = _nl1_matrix(f1.tt, ttu, ttw, n - 1)
-    n2 = _nl1_matrix(f2.tt, ttu, ttw, n - 1)
-    c = _minplus_rows(n1, n2)
-    if u_range is not None:
-        return c  # caller scatters
-    out = np.empty(1 << comb(n, 3), dtype=np.uint8)
-    out[_scatter_index(n, 3)] = c
-    return out
-
-
-def _table_generic(f: BooleanFunction, r: int) -> np.ndarray:
-    n = f.n
-    f1, f2 = split(f)
-    ms_u = MonomialSet.of(n - 1, r)
-    xi = _xor_index(comb(n - 1, r - 1))
+def _scatter(c: np.ndarray, n: int, r: int) -> np.ndarray:
+    """Place C[u, v] at the canonical index of the word u + x_n * v."""
     spread_u, spread_v = _spread_tables(n, r)
     out = np.empty(1 << comb(n, r), dtype=np.uint8)
-    for u in range(1 << comb(n - 1, r)):
-        shift = ms_u.function(u)
-        a = nl_table_values(f1 + shift, r - 1)
-        b = nl_table_values(f2 + shift, r - 1)
-        c = (b[xi] + a[None, :]).min(axis=1)
-        out[spread_u[u] | spread_v] = c
+    for s in range(0, c.shape[0], 64):  # bounds the index temporary to 256 KB
+        out[spread_u[s:s + 64, None] | spread_v] = c[s:s + 64]
     return out
+
+
+def nl_table_values(f: BooleanFunction, r: int) -> np.ndarray:
+    """The value array nl_{r-1}(f + g) over all degree-r words g.
+
+    Indexed by the canonical coefficient word.  For r >= 3, row u of each
+    half's matrix holds the order-(r-1) values of f_i + u over the words v,
+    and the halves combine by the min-plus XOR convolution.
+    """
+    n = f.n
+    if not 2 <= r <= n:
+        raise ValueError(f"table order r={r} out of range 2..{n}")
+    if (1 << comb(n, r)) > TABLE_WORD_CAP:
+        raise ValueError(
+            f"value table for (n={n}, r={r}) spans 2^{comb(n, r)} words, over the cap"
+        )
+    if r == 2:
+        return _nl1_batch(np.uint64(f.tt) ^ _word_tts(n, 2), n)
+    halves = split(f)
+    if r == 3:
+        ttu, ttw = _word_tts(n - 1, 3), _word_tts(n - 1, 2)
+        n1, n2 = (_nl1_matrix(h.tt, ttu, ttw, n - 1) for h in halves)
+    else:
+        ms_u = MonomialSet.of(n - 1, r)
+        shifts = [ms_u.function(u) for u in range(1 << comb(n - 1, r))]
+        n1, n2 = (np.stack([nl_table_values(h + g, r - 1) for g in shifts])
+                  for h in halves)
+    return _scatter(_minplus_rows(n1, n2), n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -341,23 +347,22 @@ def nl_r_bruteforce(f: BooleanFunction, r: int) -> int:
                 bb ^= lowbit
             best = min(best, acc.bit_count())
         return best
-    lo_count = min(dim, 20)
-    low = np.zeros(1 << lo_count, dtype=np.uint64)
-    width = 1
-    for t in tts[:lo_count]:
-        low[width:2 * width] = low[:width] ^ np.uint64(t)
-        width <<= 1
-    hi_tts = tts[lo_count:]
-    best = 1 << n
-    for hi_bits in range(1 << len(hi_tts)):
-        acc = f.tt
-        hb = hi_bits
-        while hb:
-            lowbit = hb & -hb
-            acc ^= hi_tts[lowbit.bit_length() - 1]
-            hb ^= lowbit
-        d = int(np.bitwise_count(np.uint64(acc) ^ low).min())
-        best = min(best, d)
+    # Leave out the constant monomial (masks[0]): the distance to c + 1 is
+    # 2^n minus the distance to c.  The 2^(dim-1) codewords c are enumerated
+    # as a cache-sized split low (13 generators) x high span.
+    size = 1 << n
+    dtype = np.uint32 if n <= 5 else np.uint64
+    spans = []
+    for gens in (tts[1:14], tts[14:]):
+        span = np.zeros(1 << len(gens), dtype=dtype)
+        for i, t in enumerate(gens):
+            span[1 << i:2 << i] = span[:1 << i] ^ dtype(t)
+        spans.append(span)
+    low, high = spans[0], spans[1] ^ dtype(f.tt)
+    best = size
+    for s in range(0, high.shape[0], 16):
+        d = np.bitwise_count(high[s:s + 16, None] ^ low)
+        best = min(best, int(d.min()), size - int(d.max()))
         if best == 0:
             break
     return best
@@ -498,36 +503,9 @@ class NlTable:
         return cls(base, r, values), meta
 
 
-def build_nl_table(base: BooleanFunction, r: int, workers: int = 1) -> NlTable:
-    """Build the full value table for `base` at order r.
-
-    With workers > 1 the u half-word range is partitioned into contiguous
-    chunks computed in separate processes; chunk boundaries are fixed by the
-    worker count only through the partition, and results are identical for
-    any worker count.
-    """
-    _check_table_size(base.n, r)
-    if workers <= 1 or r != 3:
-        return NlTable(base, r, nl_table_values(base, r))
-    n = base.n
-    u_words = 1 << comb(n - 1, 3)
-    bounds = [u_words * i // workers for i in range(workers + 1)]
-    ranges = [(bounds[i], bounds[i + 1]) for i in range(workers)
-              if bounds[i] < bounds[i + 1]]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-        blocks = list(pool.map(_table_block, [(base.n, base.tt, rng) for rng in ranges]))
-    spread_u, spread_v = _spread_tables(n, 3)
-    out = np.empty(1 << comb(n, 3), dtype=np.uint8)
-    for rng, block in zip(ranges, blocks):
-        out[spread_u[rng[0]:rng[1], None] | spread_v[None, :]] = block
-    return NlTable(base, r, out)
-
-
-def _table_block(args):
-    n, tt, rng = args
-    return _table_r3(BooleanFunction.from_tt(n, tt), rng)
+def build_nl_table(base: BooleanFunction, r: int) -> NlTable:
+    """Build the full value table for `base` at order r."""
+    return NlTable(base, r, nl_table_values(base, r))
 
 
 # ---------------------------------------------------------------------------
@@ -615,18 +593,8 @@ def transform_words(words: np.ndarray, n: int, r: int, L,
                     shift: BooleanFunction | None = None) -> np.ndarray:
     """Apply g -> T_r(g o L) (+ optional shift word) to an array of words."""
     cols, shift_word = word_transform_columns(n, r, L, shift)
-    m = len(cols)
-    half = m // 2
-    lo = np.zeros(1 << half, dtype=np.uint32)
-    width = 1
-    for c in cols[:half]:
-        lo[width:2 * width] = lo[:width] ^ np.uint32(c)
-        width <<= 1
-    hi = np.zeros(1 << (m - half), dtype=np.uint32)
-    width = 1
-    for c in cols[half:]:
-        hi[width:2 * width] = hi[:width] ^ np.uint32(c)
-        width <<= 1
+    half = len(cols) // 2
+    lo, hi = xor_span(cols[:half], np.uint32), xor_span(cols[half:], np.uint32)
     w = np.asarray(words, dtype=np.uint32)
     out = lo[w & np.uint32((1 << half) - 1)] ^ hi[w >> np.uint32(half)]
     if shift_word:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, apply_affine, monomial_masks
+from .boolfn import BooleanFunction, apply_affine, monomial_masks, xor_span
 from .field import AffineMap
 
 __all__ = [
@@ -77,27 +77,7 @@ def _action_tables(L: AffineMap) -> tuple[np.ndarray, np.ndarray]:
     """Half lookup tables of the induced linear key action of L."""
     cols = [coset_act(1 << i, L) for i in range(KEY_BITS)]
     half = KEY_BITS // 2
-    lo = np.zeros(1 << half, dtype=np.uint32)
-    width = 1
-    for c in cols[:half]:
-        lo[width:2 * width] = lo[:width] ^ np.uint32(c)
-        width <<= 1
-    hi = np.zeros(1 << (KEY_BITS - half), dtype=np.uint32)
-    width = 1
-    for c in cols[half:]:
-        hi[width:2 * width] = hi[:width] ^ np.uint32(c)
-        width <<= 1
-    return lo, hi
-
-
-def _row_combine_table(mat_rows: tuple[int, ...]) -> np.ndarray:
-    """All XOR combinations of a generator's matrix rows, indexed by mask."""
-    out = np.zeros(64, dtype=np.uint8)
-    width = 1
-    for r in mat_rows:
-        out[width:2 * width] = out[:width] ^ np.uint8(r)
-        width <<= 1
-    return out
+    return xor_span(cols[:half], np.uint32), xor_span(cols[half:], np.uint32)
 
 
 def _rows_of(L: AffineMap) -> tuple[int, ...]:
@@ -110,19 +90,30 @@ def _vec_of(L: AffineMap) -> int:
 
 def gf2_pack_rows(rows: np.ndarray) -> np.ndarray:
     """(N, 6) row masks -> uint64 keys, bit 6*i+j = entry (i, j)."""
-    weights = (np.uint64(1) << (np.uint64(6) * np.arange(6, dtype=np.uint64)))
-    return (rows.astype(np.uint64) * weights[None, :]).sum(axis=1)
+    keys = np.zeros(rows.shape[0], dtype=np.uint64)
+    for i in range(6):
+        keys |= rows[:, i].astype(np.uint64) << np.uint64(6 * i)
+    return keys
 
 
 def gf2_unpack_keys(keys: np.ndarray) -> np.ndarray:
     """uint64 keys -> (N, 6) row masks."""
     k = np.asarray(keys, dtype=np.uint64)
-    shifts = (np.uint64(6) * np.arange(6, dtype=np.uint64))
-    return ((k[:, None] >> shifts[None, :]) & np.uint64(63)).astype(np.uint8)
+    rows = np.empty((k.shape[0], 6), dtype=np.uint8)
+    for i in range(6):
+        rows[:, i] = (k >> np.uint64(6 * i)) & np.uint64(63)
+    return rows
 
 
 def gf2_invert_rows(rows: np.ndarray) -> np.ndarray:
     """Batched GF(2) inversion of 6x6 matrices given as (N, 6) row masks."""
+    out = np.empty((rows.shape[0], 6), dtype=np.uint8)
+    for s in range(0, rows.shape[0], 1 << 14):  # keeps the temporaries ~1 MB
+        out[s:s + (1 << 14)] = _invert_block(rows[s:s + (1 << 14)])
+    return out
+
+
+def _invert_block(rows: np.ndarray) -> np.ndarray:
     n = 6
     aug = rows.astype(np.uint16) | (np.uint16(64) << np.arange(n, dtype=np.uint16))
     idx = np.arange(aug.shape[0])
@@ -244,7 +235,7 @@ def bfs_orbit(start: int, gens: list[AffineMap],
     if any(g.q != 2 or g.n != 6 for g in gens):
         raise ValueError("orbit search needs AGL(6, F2) generators")
     tables = [_action_tables(g) for g in gens]
-    grow_tabs = [_row_combine_table(_rows_of(g)) for g in gens]
+    grow_tabs = [xor_span(_rows_of(g), np.uint8) for g in gens]
     gvecs = [_vec_of(g) for g in gens]
     ngens = len(gens)
     visited = np.zeros(1 << KEY_BITS, dtype=bool)
@@ -256,72 +247,84 @@ def bfs_orbit(start: int, gens: list[AffineMap],
     frontier_A = np.array([[1, 2, 4, 8, 16, 32]], dtype=np.uint8)
     frontier_b = np.zeros(1, dtype=np.uint8)
     frontier_offset = -1  # the seed level has no claim index
+    powers = (1 << np.arange(6, dtype=np.uint8))[None, :]
 
-    matrix_parts: list[np.ndarray] = []
+    matrices = np.empty(0, dtype=np.uint64)  # sorted, distinct
+    pending: list[np.ndarray] = []
     t_keys: list[np.ndarray] = []
     t_parents: list[np.ndarray] = []
     t_gens: list[np.ndarray] = []
     claimed_total = 0
 
     while frontier_keys.size:
-        cand_keys = np.empty(frontier_keys.size * ngens, dtype=np.uint32)
-        for gi, (lo, hi) in enumerate(tables):
-            cand_keys[gi::ngens] = lo[frontier_keys & half_mask] ^ hi[frontier_keys >> halfb]
-        fresh_pos = np.flatnonzero(~visited[cand_keys])
-        if fresh_pos.size:
+        level_keys, level_A, level_b = [], [], []
+        level_claims = 0
+        # Parents in chunks, in order: a coset is claimed by its first
+        # candidate in the chunk where it first appears, as in one pass over
+        # the level, while the temporaries stay a few MB.
+        for s in range(0, frontier_keys.size, 1 << 15):
+            fk = frontier_keys[s:s + (1 << 15)]
+            lo_idx, hi_idx = fk & half_mask, fk >> halfb
+            cand_keys = np.empty(fk.size * ngens, dtype=np.uint32)
+            for gi, (lo, hi) in enumerate(tables):
+                cand_keys[gi::ngens] = lo[lo_idx] ^ hi[hi_idx]
+            fresh_pos = np.flatnonzero(~visited[cand_keys])
             uniq, first = np.unique(cand_keys[fresh_pos], return_index=True)
             visited[uniq] = True
             claim_pos = np.sort(fresh_pos[first])
-        else:
-            claim_pos = fresh_pos
-        if claimed_total + claim_pos.size > memory_cap:
-            raise MemoryError("orbit exceeds the memory cap")
+            level_claims += claim_pos.size
+            if claimed_total + level_claims > memory_cap:
+                raise MemoryError("orbit exceeds the memory cap")
 
-        parent_idx = claim_pos // ngens
-        gen_idx = claim_pos % ngens
-        new_keys = cand_keys[claim_pos]
-        new_A = new_b = None
-        if track:
-            new_A = np.empty((claim_pos.size, 6), dtype=np.uint8)
-            new_b = np.empty(claim_pos.size, dtype=np.uint8)
-            powers = (1 << np.arange(6, dtype=np.uint8))[None, :]
-            for gi in range(ngens):
-                sel = np.flatnonzero(gen_idx == gi)
-                if not sel.size:
-                    continue
-                pa = frontier_A[parent_idx[sel]]
-                new_A[sel] = grow_tabs[gi][pa]
-                bg = gvecs[gi]
-                if bg:
-                    # A_parent . b_G: XOR of A_parent's columns at b_G's bits
-                    acc = np.zeros(sel.size, dtype=np.uint8)
-                    for j in range(6):
-                        if bg >> j & 1:
-                            colbits = (pa >> j) & 1
-                            acc ^= (colbits * powers).sum(axis=1, dtype=np.uint8)
-                    new_b[sel] = acc ^ frontier_b[parent_idx[sel]]
+            parent_idx = s + claim_pos // ngens
+            gen_idx = claim_pos % ngens
+            level_keys.append(cand_keys[claim_pos])
+            if track:
+                new_A = np.empty((claim_pos.size, 6), dtype=np.uint8)
+                new_b = np.empty(claim_pos.size, dtype=np.uint8)
+                for gi in range(ngens):
+                    sel = np.flatnonzero(gen_idx == gi)
+                    if not sel.size:
+                        continue
+                    pa = frontier_A[parent_idx[sel]]
+                    new_A[sel] = grow_tabs[gi][pa]
+                    bg = gvecs[gi]
+                    if bg:
+                        # A_parent . b_G: XOR of A_parent's columns at b_G's bits
+                        acc = np.zeros(sel.size, dtype=np.uint8)
+                        for j in range(6):
+                            if bg >> j & 1:
+                                colbits = (pa >> j) & 1
+                                acc ^= (colbits * powers).sum(axis=1, dtype=np.uint8)
+                        new_b[sel] = acc ^ frontier_b[parent_idx[sel]]
+                    else:
+                        new_b[sel] = frontier_b[parent_idx[sel]]
+                level_A.append(new_A)
+                level_b.append(new_b)
+                if collect_matrices:
+                    pending.append(np.unique(gf2_pack_rows(new_A)))
+                    if sum(p.size for p in pending) > 1 << 17:
+                        matrices = np.unique(np.concatenate([matrices, *pending]))
+                        pending = []
+            if transcript:
+                t_keys.append(level_keys[-1])
+                if frontier_offset < 0:
+                    t_parents.append(np.full(claim_pos.size, -1, dtype=np.int64))
                 else:
-                    new_b[sel] = frontier_b[parent_idx[sel]]
-            if collect_matrices:
-                matrix_parts.append(np.unique(gf2_pack_rows(new_A)))
-        if transcript:
-            t_keys.append(new_keys.copy())
-            if frontier_offset < 0:
-                t_parents.append(np.full(claim_pos.size, -1, dtype=np.int64))
-            else:
-                t_parents.append(frontier_offset + parent_idx.astype(np.int64))
-            t_gens.append(gen_idx.astype(np.uint8))
+                    t_parents.append(frontier_offset + parent_idx.astype(np.int64))
+                t_gens.append(gen_idx.astype(np.uint8))
 
         frontier_offset = claimed_total
-        claimed_total += claim_pos.size
-        frontier_keys = new_keys
+        claimed_total += level_claims
+        frontier_keys = np.concatenate(level_keys)
         if track:
-            frontier_A = new_A
-            frontier_b = new_b
+            frontier_A = np.concatenate(level_A)
+            frontier_b = np.concatenate(level_b)
 
     mset = None
-    if collect_matrices and matrix_parts:
-        mset = MatrixSet(np.unique(np.concatenate(matrix_parts)))
+    if collect_matrices:
+        matrices = np.unique(np.concatenate([matrices, *pending]))
+        mset = MatrixSet(matrices) if matrices.size else None
     trans = None
     if transcript:
         trans = OrbitTranscript(

@@ -24,13 +24,14 @@ import numpy as np
 
 from .boolfn import (
     BooleanFunction,
+    MonomialSet,
     concat,
     degree,
     homogeneous_part,
     monomial_masks,
     split,
 )
-from .nonlin import NlTable, nl_r_recursive, _word_tts
+from .nonlin import NlTable, nl_r_recursive
 from .orbit import MatrixSet, gf2_invert_rows, gf2_unpack_keys
 
 __all__ = [
@@ -119,11 +120,16 @@ def check_310(t3: NlTable, t10: NlTable) -> Verdict:
     """
     _require_63(t3, "check_310 first table")
     _require_63(t10, "check_310 second table")
-    cands = np.flatnonzero(t3.membership((12, 14))).astype(np.uint32)
-    round1 = _filter_by_inclusion(cands, t10.level_set(7), t3.membership((14,)))
-    round2 = _filter_by_inclusion(round1, t10.level_set(9), t3.membership((12, 14)))
+    cands = t3.membership((12, 14))
+    probe, allowed = t10.level_set(7), t3.membership((14,))
+    # round 1 in blocks of 2^18 words: no index array spans all candidates
+    round1 = np.concatenate([
+        _filter_by_inclusion(np.flatnonzero(cands[s:s + (1 << 18)]).astype(np.uint32)
+                             + np.uint32(s), probe, allowed)
+        for s in range(0, cands.size, 1 << 18)])
+    round2 = _filter_by_inclusion(round1, t10.level_set(9), cands)
     counters = {
-        "round1_candidates": int(cands.size),
+        "round1_candidates": int(cands.sum()),
         "round1_survivors": int(round1.size),
         "round2_satisfying": int(round2.size),
     }
@@ -219,7 +225,8 @@ def _sweep_shard(matrix_keys: np.ndarray, base_words: np.ndarray,
         perm[:, width:2 * width] = perm[:, :width] ^ cols[:, j:j + 1]
         width <<= 1
 
-    word_tt = _word_tts(6, 3)[base_words]  # truth tables of the 32 base words
+    ms = MonomialSet.of(6, 3)
+    word_tt = np.array([ms.function(int(w)).tt for w in base_words], dtype=np.uint64)
     bits = np.unpackbits(word_tt.astype("<u8").view(np.uint8).reshape(-1, 8),
                          axis=1, bitorder="little", count=64)  # (32, 64)
     moved = bits[:, perm]                       # (32, nmat, 64)

@@ -57,6 +57,17 @@ def test_bruteforce_small_example():
     assert nl.nl_r_bruteforce(F("x1x2"), 1) == 1
 
 
+def test_bruteforce_order_zero_and_wide_paths(rng):
+    for n in range(1, 8):
+        f = BooleanFunction.from_tt(n, int(rng.integers(0, 1 << min(63, 1 << n))))
+        assert nl.nl_r_bruteforce(f, 0) == nl.nl0(f)
+    for n in (6, 7):  # the uint64 and the big-integer enumerations
+        f = BooleanFunction.from_tt(n, int.from_bytes(rng.bytes(1 << n - 3), "little"))
+        assert nl.nl_r_bruteforce(f, 1) == nl.nl1(f)
+    f = BooleanFunction.from_tt(6, int(rng.integers(0, 1 << 63)))
+    assert nl.nl_r_bruteforce(f, 2) == nl.nl_r_recursive(f, 2)
+
+
 def test_bruteforce_cap():
     with pytest.raises(ValueError):
         nl.nl_r_bruteforce(BooleanFunction.zero(7), 2)  # dim 29 > 26
@@ -144,10 +155,69 @@ def test_level_set_objects(tables):
     assert t.membership((6, 8)).sum() == 32 + 2112
 
 
-def test_build_workers_equivalent():
-    t1 = nl.build_nl_table(fn_rep(2), 3, workers=1)
-    t2 = nl.build_nl_table(fn_rep(2), 3, workers=2)
-    assert np.array_equal(t1.values, t2.values)
+# ---------------------------------------------------------------------------
+# table kernels against their definitions
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_nl1_matrix_matches_scalar_nl1(rng, n):
+    top = 1 << (1 << n)
+    base = int(rng.integers(0, top))
+    ttu = rng.integers(0, top, size=40, dtype=np.uint64)  # several u blocks
+    ttw = rng.integers(0, top, size=24, dtype=np.uint64)
+    m = nl._nl1_matrix(base, ttu, ttw, n)
+    assert m.shape == (40, 24) and m.dtype == np.uint8
+    for u, w in zip(rng.integers(0, 40, size=200), rng.integers(0, 24, size=200)):
+        f = BooleanFunction.from_tt(n, base ^ int(ttu[u]) ^ int(ttw[w]))
+        assert m[u, w] == nl.nl1(f)
+
+
+def test_order4_table_matches_recursion(rng):
+    # the r = 4 assembly (row stacking, width-1024 min-plus, scatter) against
+    # nl_3 of each shifted function from its own split into (5,3) tables
+    f = BooleanFunction.from_tt(6, int(rng.integers(0, 1 << 63)))
+    values = nl.nl_table_values(f, 4)
+    ms = MonomialSet.of(6, 4)
+    for w in rng.integers(0, 1 << len(ms), size=32):
+        assert values[w] == nl.nl_r_recursive(f + ms.function(int(w)), 3)
+
+
+def _minplus_definition(n1, n2):
+    rows, width = n1.shape
+    out = np.empty((rows, width), dtype=np.int64)
+    words = np.arange(width)
+    for v in range(width):
+        out[:, v] = (n1.astype(np.int64) + n2[:, words ^ v]).min(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("width", [8, 64, 1024])
+def test_minplus_rows_matches_definition(rng, width):
+    rows = 40  # more than one row block
+    # every row of one parity, as in the nl1 matrices of the (6,3) tables
+    parity = rng.integers(0, 2, size=(2, rows, 1))
+    n1, n2 = (p + 2 * rng.integers(0, 7 - p, size=(rows, width)) for p in parity)
+    n1, n2 = n1.astype(np.uint8), n2.astype(np.uint8)
+    assert np.array_equal(nl._minplus_rows(n1, n2), _minplus_definition(n1, n2))
+
+    n1 = rng.integers(0, 13, size=(rows, width)).astype(np.uint8)
+    n2 = rng.integers(0, 13, size=(rows, width)).astype(np.uint8)
+    n1[2] = 7                                         # a single level
+    n1[3], n2[3] = 12, 12                             # constant rows
+    n1[4], n2[4] = 0, 0
+    n1[5] = 12 * rng.integers(0, 2, size=width)       # the extreme levels
+    n2[5] = 12 * rng.integers(0, 2, size=width)
+    n1[6], n2[6] = 0, 12
+    n2[6, 0] = 0                                      # one low entry only
+    got = nl._minplus_rows(n1, n2)
+    assert got.shape == (rows, width)
+    assert np.array_equal(got, _minplus_definition(n1, n2))
+
+    # every row of every block constant, each at its own level
+    n1, n2 = (np.repeat(rng.integers(0, 13, size=(rows, 1)), width, axis=1).astype(np.uint8)
+              for _ in range(2))
+    assert np.array_equal(nl._minplus_rows(n1, n2), _minplus_definition(n1, n2))
 
 
 def test_nlt_round_trip(tmp_path, tables):
