@@ -2,9 +2,9 @@
 
 Builds any missing artifacts, reruns every verification stage (the sweep
 included, with no checkpoint), and writes a structured report.  On a shared
-2-core Xeon VM in its slow state (Python 3.11.7, numpy 2.4.6, OpenBLAS
-0.3.31) it took 39 s from an empty artifact directory and 36 s with the
-artifacts in place; the full matrix sweep is most of it.
+2-core Xeon VM (Python 3.11.7, numpy 2.4.6, OpenBLAS 0.3.31) it took
+13.6-14.1 s from an empty artifact directory and 8.9-10.1 s with the
+artifacts in place; the full matrix sweep is most of the pipeline.
 
 Usage:
     python scripts/reproduce_all.py --artifacts artifacts --report report.json

@@ -423,8 +423,10 @@ class NlTable:
         return int(self.values.max())
 
     def level_counts(self) -> dict[int, int]:
-        counts = np.bincount(self.values)
-        return {k: int(c) for k, c in enumerate(counts) if c}
+        # one level at a time: a bincount would widen all values to int64
+        counts = (int(np.count_nonzero(self.values == k))
+                  for k in range(self.ml_prev + 1))
+        return {k: c for k, c in enumerate(counts) if c}
 
     def level_set(self, k: int) -> np.ndarray:
         """Indices (coefficient words) of F(k), ascending."""
@@ -435,16 +437,15 @@ class NlTable:
 
     def membership(self, ks) -> np.ndarray:
         """Boolean bitmap of the union of the given level sets."""
-        mask = np.zeros(self.values.shape[0], dtype=bool)
-        for k in ks:
-            mask |= self.values == k
-        return mask
+        lut = np.zeros(256, dtype=bool)  # indexed by uint8 values: no wide temporaries
+        lut[list(ks)] = True
+        return lut[self.values]
 
     # ---- NLT1 serialization ----
 
-    def to_bytes(self) -> bytes:
+    def _head(self) -> bytes:
         hextt = self.base.to_hex().encode()
-        head = (
+        return (
             NLT_MAGIC
             + bytes([self.base.n, self.r, len(hextt)])
             + hextt
@@ -452,15 +453,20 @@ class NlTable:
             + NLT_ORDER_TAG
             + len(self.values).to_bytes(4, "little")
         )
-        return head + self.values.tobytes()
+
+    def sha256(self) -> str:
+        """Hex sha256 of the NLT1 payload (header, then the values)."""
+        digest = hashlib.sha256(self._head())
+        digest.update(self.values)
+        return digest.hexdigest()
 
     def save(self, path, meta: dict | None = None) -> None:
-        payload = self.to_bytes()
         blob = dict(meta or {})
-        blob["sha256"] = hashlib.sha256(payload).hexdigest()
+        blob["sha256"] = self.sha256()
         enc = json.dumps(blob, sort_keys=True).encode()
         with open(path, "wb") as fh:
-            fh.write(payload)
+            fh.write(self._head())
+            fh.write(self.values)
             fh.write(_META_MAGIC + len(enc).to_bytes(4, "little") + enc)
 
     @classmethod
@@ -491,13 +497,13 @@ class NlTable:
         end = pos + count
         if len(raw) < end:
             raise ValueError(f"{path}: input hash mismatch (truncated payload)")
-        values = np.frombuffer(raw[pos:end], dtype=np.uint8).copy()
+        values = np.frombuffer(raw, dtype=np.uint8, count=count, offset=pos)
         meta: dict = {}
         if raw[end:end + 4] == _META_MAGIC:
             mlen = int.from_bytes(raw[end + 4:end + 8], "little")
             meta = json.loads(raw[end + 8:end + 8 + mlen])
             if verify and "sha256" in meta:
-                if hashlib.sha256(raw[:end]).hexdigest() != meta["sha256"]:
+                if hashlib.sha256(memoryview(raw)[:end]).hexdigest() != meta["sha256"]:
                     raise ValueError(f"{path}: input hash mismatch")
         base = BooleanFunction.from_hex(hextt, n)
         return cls(base, r, values), meta

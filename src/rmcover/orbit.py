@@ -141,7 +141,8 @@ class MatrixSet:
         m = self.members
         if m.ndim != 1 or (m[1:] <= m[:-1]).any():
             raise ValueError("matrix keys must be strictly ascending")
-        gf2_invert_rows(gf2_unpack_keys(m))  # raises on a singular member
+        for s in range(0, m.size, 1 << 14):  # raises on a singular member
+            gf2_invert_rows(gf2_unpack_keys(m[s:s + (1 << 14)]))
         m.setflags(write=False)
 
     def __len__(self) -> int:
@@ -151,16 +152,16 @@ class MatrixSet:
         return gf2_unpack_keys(self.members)
 
     def save(self, path, meta: dict | None = None) -> None:
-        payload = (
-            _AMS_MAGIC
-            + len(self.members).to_bytes(4, "little")
-            + self.members.astype("<u8").tobytes()
-        )
+        head = _AMS_MAGIC + len(self.members).to_bytes(4, "little")
+        members = self.members.astype("<u8", copy=False)
+        digest = hashlib.sha256(head)
+        digest.update(members)
         blob = dict(meta or {})
-        blob["sha256"] = hashlib.sha256(payload).hexdigest()
+        blob["sha256"] = digest.hexdigest()
         enc = json.dumps(blob, sort_keys=True).encode()
         with open(path, "wb") as fh:
-            fh.write(payload)
+            fh.write(head)
+            fh.write(members)
             fh.write(_META_MAGIC + len(enc).to_bytes(4, "little") + enc)
 
     @classmethod
@@ -178,13 +179,13 @@ class MatrixSet:
         end = 8 + 8 * count
         if len(raw) < end:
             raise ValueError(f"{path}: input hash mismatch (truncated payload)")
-        members = np.frombuffer(raw[8:end], dtype="<u8").astype(np.uint64)
+        members = np.frombuffer(raw, dtype="<u8", count=count, offset=8)
         meta: dict = {}
         if raw[end:end + 4] == _META_MAGIC:
             mlen = int.from_bytes(raw[end + 4:end + 8], "little")
             meta = json.loads(raw[end + 8:end + 8 + mlen])
             if verify and "sha256" in meta:
-                if hashlib.sha256(raw[:end]).hexdigest() != meta["sha256"]:
+                if hashlib.sha256(memoryview(raw)[:end]).hexdigest() != meta["sha256"]:
                     raise ValueError(f"{path}: input hash mismatch")
         return cls(members), meta
 
@@ -238,7 +239,7 @@ def bfs_orbit(start: int, gens: list[AffineMap],
     grow_tabs = [xor_span(_rows_of(g), np.uint8) for g in gens]
     gvecs = [_vec_of(g) for g in gens]
     ngens = len(gens)
-    visited = np.zeros(1 << KEY_BITS, dtype=bool)
+    visited = np.zeros(1 << (KEY_BITS - 3), dtype=np.uint8)  # one bit per key
     half_mask = np.uint32((1 << (KEY_BITS // 2)) - 1)
     halfb = np.uint32(KEY_BITS // 2)
 
@@ -268,9 +269,9 @@ def bfs_orbit(start: int, gens: list[AffineMap],
             cand_keys = np.empty(fk.size * ngens, dtype=np.uint32)
             for gi, (lo, hi) in enumerate(tables):
                 cand_keys[gi::ngens] = lo[lo_idx] ^ hi[hi_idx]
-            fresh_pos = np.flatnonzero(~visited[cand_keys])
+            fresh_pos = np.flatnonzero((visited[cand_keys >> 3] >> (cand_keys & 7) & 1) == 0)
             uniq, first = np.unique(cand_keys[fresh_pos], return_index=True)
-            visited[uniq] = True
+            np.bitwise_or.at(visited, uniq >> 3, (1 << (uniq & 7)).astype(np.uint8))
             claim_pos = np.sort(fresh_pos[first])
             level_claims += claim_pos.size
             if claimed_total + level_claims > memory_cap:

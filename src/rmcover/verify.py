@@ -68,11 +68,11 @@ class Verdict:
 
 
 def table_digest(t: NlTable) -> str:
-    return hashlib.sha256(t.to_bytes()).hexdigest()[:16]
+    return t.sha256()[:16]
 
 
 def matrixset_digest(ms: MatrixSet) -> str:
-    return hashlib.sha256(ms.members.astype("<u8").tobytes()).hexdigest()[:16]
+    return hashlib.sha256(ms.members.astype("<u8", copy=False)).hexdigest()[:16]
 
 
 def _filter_by_inclusion(cands: np.ndarray, probe: np.ndarray,
@@ -120,14 +120,16 @@ def check_310(t3: NlTable, t10: NlTable) -> Verdict:
     """
     _require_63(t3, "check_310 first table")
     _require_63(t10, "check_310 second table")
-    cands = t3.membership((12, 14))
-    probe, allowed = t10.level_set(7), t3.membership((14,))
-    # round 1 in blocks of 2^18 words: no index array spans all candidates
+    probe, probe2 = t10.level_set(7), t10.level_set(9)
+    cands, allowed = t3.membership((12, 14)), t3.membership((14,))
+    # round 1 in blocks of 2^17 words (2^20 = cands.size is a multiple): no
+    # index array spans all candidates
+    block = 1 << 17
     round1 = np.concatenate([
-        _filter_by_inclusion(np.flatnonzero(cands[s:s + (1 << 18)]).astype(np.uint32)
-                             + np.uint32(s), probe, allowed)
-        for s in range(0, cands.size, 1 << 18)])
-    round2 = _filter_by_inclusion(round1, t10.level_set(9), cands)
+        _filter_by_inclusion(np.arange(s, s + block, dtype=np.uint32)[cands[s:s + block]],
+                             probe, allowed)
+        for s in range(0, cands.size, block)])
+    round2 = _filter_by_inclusion(round1, probe2, cands)
     counters = {
         "round1_candidates": int(cands.sum()),
         "round1_survivors": int(round1.size),
@@ -203,6 +205,35 @@ def reduce_to_610(f: BooleanFunction) -> tuple[BooleanFunction, tuple[int, int]]
 # ---------------------------------------------------------------------------
 
 
+def _image_words(matrix_keys: np.ndarray, base_words: np.ndarray) -> np.ndarray:
+    """(len(base_words), nmat) array: the degree-3 coefficient word of
+    s(A^-1 x) for each base word s and each matrix A."""
+    nmat = matrix_keys.shape[0]
+    inv = gf2_invert_rows(gf2_unpack_keys(matrix_keys))
+    # point permutations x -> A^-1 x: subset-XOR doubling over the columns,
+    # column j as a point index with bit i = entry (i, j)
+    perm = np.zeros((nmat, 1), dtype=np.uint8)
+    for j in range(6):
+        col = sum(((inv[:, i] >> j) & 1) << i for i in range(6))
+        perm = np.concatenate([perm, perm ^ col[:, None]], axis=1)
+
+    ms = MonomialSet.of(6, 3)
+    word_tt = np.array([ms.function(int(w)).tt for w in base_words], dtype="<u8")
+    bits = np.unpackbits(word_tt.view(np.uint8).reshape(-1, 8), axis=1,
+                         bitorder="little")  # (words, 64): bit x of each truth table
+    # the truth tables of s(A^-1 x), point-major: byte k of anf[m, x] holds
+    # words 8k..8k+7 at x; then the Moebius transform along the point axis
+    anf = np.packbits(bits.T, axis=1, bitorder="little")[perm]  # (nmat, 64, bytes)
+    for d in range(6):
+        half = anf.reshape(nmat, 32 >> d, 2, -1)
+        half[:, :, 1] ^= half[:, :, 0]
+    # the 20 degree-3 coefficients of each word, packed into a 20-bit word
+    deg3 = np.unpackbits(anf[:, monomial_masks(6, 3)], axis=2, bitorder="little",
+                         count=base_words.size)  # (nmat, 20, words)
+    c = np.packbits(deg3, axis=1, bitorder="little").astype(np.uint32)
+    return (c[:, 0] | c[:, 1] << 8 | c[:, 2] << 16).T
+
+
 def _sweep_shard(matrix_keys: np.ndarray, base_words: np.ndarray,
                  targets: np.ndarray, allowed: np.ndarray) -> tuple[int, list]:
     """Run the subset test for one contiguous chunk of matrices.
@@ -211,56 +242,31 @@ def _sweep_shard(matrix_keys: np.ndarray, base_words: np.ndarray,
     (matrix_key, target_word, shift_word).
     """
     nmat = matrix_keys.shape[0]
-    inv = gf2_invert_rows(gf2_unpack_keys(matrix_keys))
-    # point permutations x -> A^-1 x via subset-XOR doubling over columns
-    cols = np.zeros((nmat, 6), dtype=np.uint8)
-    for j in range(6):
-        col = np.zeros(nmat, dtype=np.uint8)
-        for i in range(6):
-            col |= ((inv[:, i] >> j) & 1).astype(np.uint8) << i
-        cols[:, j] = col
-    perm = np.zeros((nmat, 64), dtype=np.uint8)
-    width = 1
-    for j in range(6):
-        perm[:, width:2 * width] = perm[:, :width] ^ cols[:, j:j + 1]
-        width <<= 1
-
-    ms = MonomialSet.of(6, 3)
-    word_tt = np.array([ms.function(int(w)).tt for w in base_words], dtype=np.uint64)
-    bits = np.unpackbits(word_tt.astype("<u8").view(np.uint8).reshape(-1, 8),
-                         axis=1, bitorder="little", count=64)  # (32, 64)
-    moved = bits[:, perm]                       # (32, nmat, 64)
-    packed = np.packbits(moved.reshape(-1, 64), axis=1, bitorder="little")
-    tts = packed.copy().view("<u8").reshape(bits.shape[0], nmat)
-
-    # Moebius transform on packed 64-bit truth tables
-    masks = []
-    full = np.uint64(0xFFFFFFFFFFFFFFFF)
-    for d in range(6):
-        block = (np.uint64(1) << np.uint64(1 << d)) - np.uint64(1)
-        m = np.uint64(0)
-        for start in range(0, 64, 2 << d):
-            m |= block << np.uint64(start)
-        masks.append(m & full)
-    anf = tts
-    for d, m in enumerate(masks):
-        anf = anf ^ ((anf & m) << np.uint64(1 << d))
-
-    # collect the degree-3 coefficients into 20-bit words
-    words = np.zeros(anf.shape, dtype=np.uint32)
-    for idx, mono in enumerate(monomial_masks(6, 3)):
-        words |= ((anf >> np.uint64(mono)) & np.uint64(1)).astype(np.uint32) << np.uint32(idx)
-
-    shifts = words ^ words[0]  # (32, nmat); row 0 is zero
-    hits = []
-    for m in range(nmat):
-        alive = targets
-        for i in range(1, shifts.shape[0]):
-            alive = alive[allowed[alive ^ shifts[i, m]]]
-            if not alive.size:
-                break
-        for t in alive:
-            hits.append((int(matrix_keys[m]), int(t), int(words[0, m] ^ t)))
+    words = _image_words(matrix_keys, base_words)
+    shifts = words[1:] ^ words[0]  # (31, nmat)
+    # pivot of each matrix: its shift word shared by the most matrices of the
+    # shard, the smallest such word on a tie
+    uniq, inverse, counts = np.unique(shifts, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(shifts.shape)
+    row = (counts[inverse] * uniq.size - inverse).argmax(axis=0)
+    pivot = inverse[row, np.arange(nmat)]
+    # one scan of the targets per distinct pivot, then each matrix of the
+    # group filters the pivot's survivors by its other shifts
+    order = np.argsort(pivot, kind="stable")
+    survivors = {}
+    for group in np.split(order, np.flatnonzero(np.diff(pivot[order])) + 1):
+        first = targets[allowed[targets ^ uniq[pivot[group[0]]]]]
+        for m in group:
+            alive = first
+            for i in range(shifts.shape[0]):
+                if not alive.size:
+                    break
+                if i != row[m]:
+                    alive = alive[allowed[alive ^ shifts[i, m]]]
+            if alive.size:
+                survivors[m] = alive
+    hits = [(int(matrix_keys[m]), int(t), int(words[0, m] ^ t))
+            for m in sorted(survivors) for t in survivors[m]]
     return nmat, hits
 
 
@@ -274,6 +280,16 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
     bottom level set of the fn_6 table land inside the top level set of the
     fn_10 table?  Passing (no hit anywhere) refutes nl_3 = 21 for every
     type-(6,10) function.
+
+    For a matrix with image words w_0..w_31, the hits are the targets t with
+    t + (w_i + w_0) a target for every i: the intersection of the top level
+    set T with its 31 shifts.  Each shard filters T first by one pivot shift
+    per matrix, the shift shared by the most matrices of the shard (the
+    smallest word on a tie), so T is scanned once per distinct pivot rather
+    than once per matrix; the other 30 shifts follow in order.  An
+    intersection does not depend on the order of its terms, and filtering
+    keeps ascending order, so the hits, their order and the verdict are
+    those of filtering by the 31 shifts in order.
 
     stride > 1 selects the deterministic subset of matrices with index
     divisible by stride (the CI-scale proxy).  Shards are contiguous ranges

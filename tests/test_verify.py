@@ -185,6 +185,75 @@ def test_sweep_detects_planted_hit(tables):
     assert v.counterexample is not None
 
 
+def test_sweep_matches_per_matrix_reference(matrix_set, tables, tmp_path):
+    # reference: the 32 images T_3(s(A^-1 x)) of each matrix from apply_affine,
+    # then a plain loop over its 31 shifts in order, on a planted target table
+    from rmcover.boolfn import MonomialSet, apply_affine
+    from rmcover.field import AffineMap
+    from rmcover.nonlin import NlTable
+    from rmcover.orbit import MatrixSet, gf2_unpack_keys
+
+    ms3 = MonomialSet.of(6, 3)
+    keys = matrix_set.members[60000:60048]  # neighbours share shift words
+    base = tables[6].level_set(6)
+    images = []
+    for rows in gf2_unpack_keys(keys):
+        A = AffineMap(2, 6, tuple(tuple(int(r) >> j & 1 for j in range(6))
+                                  for r in rows), (0,) * 6)
+        inv = A.inverse()
+        images.append(np.array([ms3.anf_to_word(apply_affine(ms3.function(int(w)), inv).anf)
+                                for w in base], dtype=np.uint32))
+    # plant g + images: a hit g + image[0] for matrices 0, 5 (twice) and 40;
+    # and near misses for the first shard and matrix 20, each image but one,
+    # so that a skipped shift, the pivot included, shows as a false hit
+    values = tables[10].values.copy()
+    for m, g in ((0, 0x1234), (5, 0x0F0F0), (5, 0xABCDE), (40, 0x55555)):
+        values[images[m] ^ np.uint32(g)] = 15
+    near = [*range(16), 20]
+    gs = iter(np.random.default_rng(5).integers(1, 1 << 20, size=31 * len(near),
+                                                dtype=np.uint32))
+    for m in near:
+        for j in range(1, 32):
+            values[np.delete(images[m], j) ^ next(gs)] = 15
+    fake = NlTable(tables[10].base, 3, values)
+    allowed = values == 15
+    targets = np.flatnonzero(allowed).astype(np.uint32)
+    expected = []
+    for key, w in zip(keys, images):
+        alive = targets
+        for s in w[1:] ^ w[0]:
+            alive = alive[allowed[alive ^ s]]
+        expected += [(int(key), int(t), int(w[0] ^ t)) for t in alive]
+
+    shard = 16
+    hit_keys = [h[0] for h in expected]
+    assert {int(keys[m]) for m in (0, 5, 40)} <= set(hit_keys)
+    assert hit_keys.count(int(keys[5])) >= 2
+    shared = [np.intersect1d(images[a][1:] ^ images[a][0],
+                             images[b][1:] ^ images[b][0]).size
+              for a in range(shard) for b in range(a + 1, shard)]
+    assert max(shared) > 0  # the first shard has matrices that share a pivot
+
+    ck = tmp_path / "ck"
+    v = vf.sweep_610(MatrixSet(keys), tables[6], fake, shard_size=shard,
+                     checkpoint_dir=str(ck))
+    assert v.outcome == "fail"
+    assert v.counterexample == expected[0]
+    assert v.counters == {"matrices": 48, "targets_per_matrix": targets.size,
+                          "subset_size": 32, "hits": len(expected), "shards": 3,
+                          "resumed_shards": 0}
+    inputs = {"matrix_set": vf.matrixset_digest(MatrixSet(keys)),
+              "t6": vf.table_digest(tables[6]), "t10": vf.table_digest(fake),
+              "stride": 1}
+    shards = {}
+    for s in range(0, 48, shard):
+        sk = {int(k) for k in keys[s:s + shard]}
+        shards[f"{s}:{s + shard}"] = {
+            "matrices": shard, "hits": [list(h) for h in expected if h[0] in sk]}
+    assert (ck / "sweep610.json").read_text() == json.dumps(
+        {"inputs": inputs, "shards": shards})
+
+
 # ---------------------------------------------------------------------------
 # the full pipeline
 # ---------------------------------------------------------------------------
