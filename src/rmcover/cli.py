@@ -3,12 +3,15 @@
 Every published value the artifact is compared against lives here, in the
 EXPECTED_* constants; the library modules never read them.  Exit status: 0 =
 verified/matched, 1 = mismatch or counterexample, 2 = usage/scale/integrity
-error.  Long-running work (value-table builds, the full matrix sweep, the
-7-variable witness evaluation) is guarded by --opt-in-long.
+error.
 
 Artifacts are kept under a workspace directory (default ./artifacts): NLT1
-value tables per class representative and the AMS1 matrix set.  Output files
-embed the producing command line and input hashes in their metadata trailer.
+value tables per class representative and the AMS1 matrix set.  `Workspace`
+is the one way they are built, saved and loaded: a missing file is built and
+saved, a present one is loaded, hash-checked and checked against the class
+it stands for.  Saved files embed the producing command line and the sha256
+of their payload in their metadata trailer.  `rmcover --checkpoint-dir D
+verify --stage 610` is the resumable sweep.
 """
 
 from __future__ import annotations
@@ -57,15 +60,13 @@ class CliError(Exception):
 
 @dataclass
 class JobConfig:
-    """Resolved invocation: command line, paths, resources, long-run opt-in."""
+    """Resolved invocation: command line, paths, worker count."""
 
     command: str
     tables_dir: str
     workers: int = 1
-    opt_in_long: bool = False
     checkpoint_dir: str | None = None
     out: str | None = None
-    memory_cap_mb: int = 2048
     meta: dict = dc_field(init=False)
 
     def __post_init__(self) -> None:
@@ -85,22 +86,15 @@ class Workspace:
     def _aset_path(self) -> str:
         return os.path.join(self.root, "fn10.ams")
 
-    def _guard_long(self, what: str) -> None:
-        if not self.cfg.opt_in_long:
-            raise CliError(
-                f"{what} is a long-running build; rerun with --opt-in-long "
-                f"or point --tables-dir at prebuilt artifacts"
-            )
-
     def table(self, index: int) -> nonlin.NlTable:
         path = self._table_path(index)
+        base = classify.fn_rep(index)
         if os.path.exists(path):
-            try:
-                return nonlin.NlTable.load(path)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
-        self._guard_long(f"value table for fn_{index}")
-        t = nonlin.build_nl_table(classify.fn_rep(index), 3)
+            t = nonlin.NlTable.load(path)
+            if t.base != base or t.r != 3:
+                raise CliError(f"{path}: not the order-3 value table of fn_{index}")
+            return t
+        t = nonlin.build_nl_table(base, 3)
         os.makedirs(self.root, exist_ok=True)
         t.save(path, meta=dict(self.cfg.meta))
         return t
@@ -108,11 +102,7 @@ class Workspace:
     def matrix_set(self) -> orbit.MatrixSet:
         path = self._aset_path()
         if os.path.exists(path):
-            try:
-                return orbit.MatrixSet.load(path)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
-        self._guard_long("matrix-set orbit enumeration")
+            return orbit.MatrixSet.load(path)
         gens = list(field.agl_generators(6, 2))
         res = orbit.bfs_orbit(orbit.coset_key(classify.fn_rep(10)), gens,
                               collect_matrices=True)
@@ -238,40 +228,34 @@ def cmd_tables(args, cfg: JobConfig) -> int:
 def cmd_verify(args, cfg: JobConfig) -> int:
     ws = Workspace(cfg)
     stage = args.stage
-    try:
-        if stage == "29":
-            v = verify.check_29(ws.table(2), ws.table(9))
-        elif stage == "310":
-            v = verify.check_310(ws.table(3), ws.table(10))
-        elif stage == "610":
-            if args.stride == 1:
-                ws._guard_long("the full type-(6,10) sweep")
-            v = verify.sweep_610(
-                ws.matrix_set(), ws.table(6), ws.table(10),
-                stride=args.stride, checkpoint_dir=cfg.checkpoint_dir,
-                workers=cfg.workers,
-            )
-        elif stage == "all":
-            ws._guard_long("the full pipeline")
-            tables = {i: ws.table(i) for i in range(classify.NUM_CLASSES)}
-            report = verify.prove_rho37(
-                tables, ws.matrix_set(),
-                sweep_stride=args.stride,
-                sweep_checkpoint=cfg.checkpoint_dir,
-                workers=cfg.workers,
-            )
-            text = report.to_text()
-            print(text)
-            if cfg.out:
-                payload = json.loads(report.to_json())
-                payload["command"] = cfg.command
-                with open(cfg.out, "w") as fh:
-                    fh.write(json.dumps(payload, indent=2) + "\n")
-            return EXIT_OK if report.passed else EXIT_MISMATCH
-        else:
-            raise CliError(f"unknown stage {stage!r}")
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if stage == "29":
+        v = verify.check_29(ws.table(2), ws.table(9))
+    elif stage == "310":
+        v = verify.check_310(ws.table(3), ws.table(10))
+    elif stage == "610":
+        v = verify.sweep_610(
+            ws.matrix_set(), ws.table(6), ws.table(10),
+            stride=args.stride, checkpoint_dir=cfg.checkpoint_dir,
+            workers=cfg.workers,
+        )
+    elif stage == "all":
+        tables = {i: ws.table(i) for i in range(classify.NUM_CLASSES)}
+        report = verify.prove_rho37(
+            tables, ws.matrix_set(),
+            sweep_stride=args.stride,
+            sweep_checkpoint=cfg.checkpoint_dir,
+            workers=cfg.workers,
+        )
+        text = report.to_text()
+        print(text)
+        if cfg.out:
+            payload = json.loads(report.to_json())
+            payload["command"] = cfg.command
+            with open(cfg.out, "w") as fh:
+                fh.write(json.dumps(payload, indent=2) + "\n")
+        return EXIT_OK if report.passed else EXIT_MISMATCH
+    else:
+        raise CliError(f"unknown stage {stage!r}")
     counters = " ".join(f"{k}={val}" for k, val in v.counters.items())
     text = f"[{v.outcome}] {v.stage} {counters}"
     if v.counterexample is not None:
@@ -351,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="artifact directory for NLT1/AMS1 files")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for the type-(6,10) sweep")
-    p.add_argument("--opt-in-long", action="store_true",
-                   help="allow long-running builds (tables, full sweep)")
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--out", default=None, help="also write the result to this file")
     sub = p.add_subparsers(dest="command", required=True)
@@ -395,7 +377,6 @@ def main(argv=None) -> int:
         command="rmcover " + shlex.join(argv),
         tables_dir=args.tables_dir,
         workers=args.workers,
-        opt_in_long=args.opt_in_long,
         checkpoint_dir=args.checkpoint_dir,
         out=args.out,
     )
@@ -407,10 +388,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

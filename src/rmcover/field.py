@@ -292,33 +292,8 @@ class AffineMap:
         b_inv = tuple(fs.neg(e) for e in _mat_vec(fs, self.A_inv, self.b))
         return AffineMap(self.q, self.n, self.A_inv, b_inv)
 
-    def apply(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        fs = FieldSpec.of(self.q)
-        Ax = _mat_vec(fs, self.A, x)
-        return tuple(fs.add(u, v) for u, v in zip(Ax, self.b))
-
     def is_identity(self) -> bool:
         return self.A == _identity_rows(self.n) and all(e == 0 for e in self.b)
-
-    def packed_key(self) -> int:
-        """Row-major base-q packing of (A, b); stable hash key."""
-        v = 0
-        for row in self.A:
-            for e in row:
-                v = v * self.q + e
-        for e in self.b:
-            v = v * self.q + e
-        return v
-
-    def matrix_key_gf2(self) -> int:
-        """36-bit row-major bit packing of A (GF(2) only): bit 6*i+j = A[i][j]."""
-        if self.q != 2:
-            raise ValueError("matrix_key_gf2 requires q=2")
-        v = 0
-        for i, row in enumerate(self.A):
-            for j, e in enumerate(row):
-                v |= (e & 1) << (self.n * i + j)
-        return v
 
 
 def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:

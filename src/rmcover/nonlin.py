@@ -50,7 +50,10 @@ __all__ = [
     "nl_r_bruteforce",
     "ml_r",
     "NlTable",
-    "LevelSet",
+    "payload_sha256",
+    "save_artifact",
+    "read_artifact",
+    "artifact_meta",
     "build_nl_table",
     "nl_table_values",
     "CoveringVerdict",
@@ -381,18 +384,6 @@ def ml_r(f: BooleanFunction, r: int) -> int:
 
 
 @dataclass(frozen=True)
-class LevelSet:
-    """Membership bitset of F(k) = {g : nl_{r-1}(base + g) = k}."""
-
-    k: int
-    members: np.ndarray  # bool, one bit per coefficient word
-
-    @property
-    def cardinality(self) -> int:
-        return int(self.members.sum())
-
-
-@dataclass(frozen=True)
 class NlTable:
     """Full map g -> nl_{r-1}(base + g) over H_n^(r) u {0} coefficient words."""
 
@@ -432,9 +423,6 @@ class NlTable:
         """Indices (coefficient words) of F(k), ascending."""
         return np.flatnonzero(self.values == k).astype(np.uint32)
 
-    def level(self, k: int) -> LevelSet:
-        return LevelSet(k, self.values == k)
-
     def membership(self, ks) -> np.ndarray:
         """Boolean bitmap of the union of the given level sets."""
         lut = np.zeros(256, dtype=bool)  # indexed by uint8 values: no wide temporaries
@@ -456,30 +444,18 @@ class NlTable:
 
     def sha256(self) -> str:
         """Hex sha256 of the NLT1 payload (header, then the values)."""
-        digest = hashlib.sha256(self._head())
-        digest.update(self.values)
-        return digest.hexdigest()
+        return payload_sha256(self._head(), self.values)
 
     def save(self, path, meta: dict | None = None) -> None:
-        blob = dict(meta or {})
-        blob["sha256"] = self.sha256()
-        enc = json.dumps(blob, sort_keys=True).encode()
-        with open(path, "wb") as fh:
-            fh.write(self._head())
-            fh.write(self.values)
-            fh.write(_META_MAGIC + len(enc).to_bytes(4, "little") + enc)
+        save_artifact(path, self._head(), self.values, meta)
 
     @classmethod
-    def load(cls, path, verify: bool = True) -> "NlTable":
-        table, _ = cls.load_with_meta(path, verify)
-        return table
+    def load(cls, path) -> "NlTable":
+        return cls.load_with_meta(path)[0]
 
     @classmethod
-    def load_with_meta(cls, path, verify: bool = True) -> tuple["NlTable", dict]:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        if raw[:4] != NLT_MAGIC:
-            raise ValueError(f"{path}: bad magic, not an NLT1 file")
+    def load_with_meta(cls, path) -> tuple["NlTable", dict]:
+        raw = read_artifact(path, NLT_MAGIC)
         n, r, hexlen = raw[4], raw[5], raw[6]
         pos = 7
         hextt = raw[pos:pos + hexlen].decode()
@@ -494,19 +470,55 @@ class NlTable:
         pos += 4
         if count != 1 << comb(n, r):
             raise ValueError(f"{path}: count {count} inconsistent with (n={n}, r={r})")
-        end = pos + count
-        if len(raw) < end:
-            raise ValueError(f"{path}: input hash mismatch (truncated payload)")
+        meta = artifact_meta(path, raw, pos + count)
         values = np.frombuffer(raw, dtype=np.uint8, count=count, offset=pos)
-        meta: dict = {}
-        if raw[end:end + 4] == _META_MAGIC:
-            mlen = int.from_bytes(raw[end + 4:end + 8], "little")
-            meta = json.loads(raw[end + 8:end + 8 + mlen])
-            if verify and "sha256" in meta:
-                if hashlib.sha256(memoryview(raw)[:end]).hexdigest() != meta["sha256"]:
-                    raise ValueError(f"{path}: input hash mismatch")
-        base = BooleanFunction.from_hex(hextt, n)
-        return cls(base, r, values), meta
+        return cls(BooleanFunction.from_hex(hextt, n), r, values), meta
+
+
+# ---------------------------------------------------------------------------
+# NLT1/AMS1 files: a header, the payload array, then a META trailer (u32
+# length + JSON) with the producing command and the sha256 of header and
+# payload.  The trailer is mandatory: a file without it is refused.
+# ---------------------------------------------------------------------------
+
+
+def payload_sha256(head: bytes, payload: np.ndarray) -> str:
+    """Hex sha256 of a header and its payload, hashed without a copy."""
+    digest = hashlib.sha256(head)
+    digest.update(payload)
+    return digest.hexdigest()
+
+
+def save_artifact(path, head: bytes, payload: np.ndarray, meta: dict | None) -> None:
+    blob = dict(meta or {})
+    blob["sha256"] = payload_sha256(head, payload)
+    enc = json.dumps(blob, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(payload)
+        fh.write(_META_MAGIC + len(enc).to_bytes(4, "little") + enc)
+
+
+def read_artifact(path, magic: bytes) -> bytes:
+    """The bytes of an artifact file whose first four bytes are `magic`."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:4] != magic:
+        raise ValueError(f"{path}: bad magic, not an {magic.decode()} file")
+    return raw
+
+
+def artifact_meta(path, raw: bytes, end: int) -> dict:
+    """The META trailer after raw[:end], checked against the sha256 of raw[:end]."""
+    if len(raw) < end:
+        raise ValueError(f"{path}: input hash mismatch (truncated payload)")
+    if raw[end:end + 4] != _META_MAGIC:
+        raise ValueError(f"{path}: input hash mismatch (no META trailer)")
+    mlen = int.from_bytes(raw[end + 4:end + 8], "little")
+    meta = json.loads(raw[end + 8:end + 8 + mlen])
+    if meta.get("sha256") != hashlib.sha256(memoryview(raw)[:end]).hexdigest():
+        raise ValueError(f"{path}: input hash mismatch")
+    return meta
 
 
 def build_nl_table(base: BooleanFunction, r: int) -> NlTable:

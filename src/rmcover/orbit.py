@@ -16,14 +16,13 @@ Deduplicating those matrices yields the sweep set for the type-(6,10) check.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boolfn import BooleanFunction, apply_affine, monomial_masks, xor_span
 from .field import AffineMap
+from .nonlin import artifact_meta, read_artifact, save_artifact
 
 __all__ = [
     "KEY_BITS",
@@ -42,7 +41,6 @@ __all__ = [
 KEY_BITS = 22
 _KEY_MASKS = tuple(m for m in range(64) if m.bit_count() >= 4)  # ascending
 _AMS_MAGIC = b"AMS1"
-_META_MAGIC = b"META"
 
 
 def coset_key(f: BooleanFunction) -> int:
@@ -153,41 +151,18 @@ class MatrixSet:
 
     def save(self, path, meta: dict | None = None) -> None:
         head = _AMS_MAGIC + len(self.members).to_bytes(4, "little")
-        members = self.members.astype("<u8", copy=False)
-        digest = hashlib.sha256(head)
-        digest.update(members)
-        blob = dict(meta or {})
-        blob["sha256"] = digest.hexdigest()
-        enc = json.dumps(blob, sort_keys=True).encode()
-        with open(path, "wb") as fh:
-            fh.write(head)
-            fh.write(members)
-            fh.write(_META_MAGIC + len(enc).to_bytes(4, "little") + enc)
+        save_artifact(path, head, self.members.astype("<u8", copy=False), meta)
 
     @classmethod
-    def load(cls, path, verify: bool = True) -> "MatrixSet":
-        ms, _ = cls.load_with_meta(path, verify)
-        return ms
+    def load(cls, path) -> "MatrixSet":
+        return cls.load_with_meta(path)[0]
 
     @classmethod
-    def load_with_meta(cls, path, verify: bool = True) -> tuple["MatrixSet", dict]:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        if raw[:4] != _AMS_MAGIC:
-            raise ValueError(f"{path}: bad magic, not an AMS1 file")
+    def load_with_meta(cls, path) -> tuple["MatrixSet", dict]:
+        raw = read_artifact(path, _AMS_MAGIC)
         count = int.from_bytes(raw[4:8], "little")
-        end = 8 + 8 * count
-        if len(raw) < end:
-            raise ValueError(f"{path}: input hash mismatch (truncated payload)")
-        members = np.frombuffer(raw, dtype="<u8", count=count, offset=8)
-        meta: dict = {}
-        if raw[end:end + 4] == _META_MAGIC:
-            mlen = int.from_bytes(raw[end + 4:end + 8], "little")
-            meta = json.loads(raw[end + 8:end + 8 + mlen])
-            if verify and "sha256" in meta:
-                if hashlib.sha256(memoryview(raw)[:end]).hexdigest() != meta["sha256"]:
-                    raise ValueError(f"{path}: input hash mismatch")
-        return cls(members), meta
+        meta = artifact_meta(path, raw, 8 + 8 * count)
+        return cls(np.frombuffer(raw, dtype="<u8", count=count, offset=8)), meta
 
 
 @dataclass(frozen=True)
@@ -222,8 +197,7 @@ class OrbitTranscript:
 
 def bfs_orbit(start: int, gens: list[AffineMap],
               collect_matrices: bool = True,
-              transcript: bool = False,
-              memory_cap: int = 1 << 22) -> OrbitResult:
+              transcript: bool = False) -> OrbitResult:
     """Breadth-first enumeration of the coset orbit under the generators.
 
     Matches the queue discipline of a scalar FIFO search seeded with
@@ -274,8 +248,6 @@ def bfs_orbit(start: int, gens: list[AffineMap],
             np.bitwise_or.at(visited, uniq >> 3, (1 << (uniq & 7)).astype(np.uint8))
             claim_pos = np.sort(fresh_pos[first])
             level_claims += claim_pos.size
-            if claimed_total + level_claims > memory_cap:
-                raise MemoryError("orbit exceeds the memory cap")
 
             parent_idx = s + claim_pos // ngens
             gen_idx = claim_pos % ngens

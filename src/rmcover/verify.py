@@ -274,8 +274,7 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
               stride: int = 1,
               shard_size: int = SWEEP_SHARD_SIZE,
               checkpoint_dir: str | None = None,
-              workers: int = 1,
-              progress=None) -> Verdict:
+              workers: int = 1) -> Verdict:
     """Subset test over every stored matrix: does any shifted image of the
     bottom level set of the fn_6 table land inside the top level set of the
     fn_10 table?  Passing (no hit anywhere) refutes nl_3 = 21 for every
@@ -335,40 +334,36 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
         os.replace(tmp, state_path)
 
     pending = []
-    for si, (s, e) in enumerate(shards):
+    for s, e in shards:
         key = f"{s}:{e}"
         if key in done:
             processed += done[key]["matrices"]
             hits.extend(tuple(h) for h in done[key]["hits"])
             resumed += 1
         else:
-            pending.append((si, s, e))
+            pending.append((s, e))
 
-    def handle(si, s, e, nmat, shard_hits):
+    def handle(s, e, nmat, shard_hits):
         nonlocal processed
         processed += nmat
         hits.extend(shard_hits)
         done[f"{s}:{e}"] = {"matrices": nmat, "hits": shard_hits}
         flush()
-        if progress is not None:
-            progress(si, len(shards), processed)
 
     if workers <= 1:
-        for si, s, e in pending:
-            nmat, shard_hits = _sweep_shard(selected[s:e], base_words, targets, allowed)
-            handle(si, s, e, nmat, shard_hits)
+        for s, e in pending:
+            handle(s, e, *_sweep_shard(selected[s:e], base_words, targets, allowed))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                (si, s, e, pool.submit(_sweep_shard, selected[s:e], base_words,
-                                       targets, allowed))
-                for si, s, e in pending
+                (s, e, pool.submit(_sweep_shard, selected[s:e], base_words,
+                                   targets, allowed))
+                for s, e in pending
             ]
-            for si, s, e, fut in futures:
-                nmat, shard_hits = fut.result()
-                handle(si, s, e, nmat, shard_hits)
+            for s, e, fut in futures:
+                handle(s, e, *fut.result())
 
     counters = {
         "matrices": processed,
@@ -517,8 +512,7 @@ def prove_rho37(tables, matrix_set: MatrixSet, *,
                 seed: int = 20,
                 sweep_stride: int = 1,
                 sweep_checkpoint: str | None = None,
-                workers: int = 1,
-                progress=None) -> Report:
+                workers: int = 1) -> Report:
     """Chain every stage and report rho(3,7) = 20.
 
     `tables` maps the class index to its (6,3) value table; all eleven are
@@ -587,7 +581,7 @@ def prove_rho37(tables, matrix_set: MatrixSet, *,
     stages.append(sweep_610(
         matrix_set, tables[6], tables[10],
         stride=sweep_stride, checkpoint_dir=sweep_checkpoint,
-        workers=workers, progress=progress,
+        workers=workers,
     ))
 
     witness = BooleanFunction.from_anf_string(WITNESS_ANF, n=7)

@@ -19,25 +19,12 @@ from rmcover import nonlin as nl
 from rmcover import orbit as ob
 from rmcover import verify as vf
 from rmcover.boolfn import BooleanFunction, MonomialSet, concat, distance, mobius, split
-
-PUBLISHED_TABLE1 = {
-    "deg": (0, 4, 4, 4, 5, 5, 5, 6, 6, 6, 6),
-    "nl2": (0, 4, 6, 10, 2, 4, 8, 1, 3, 7, 9),
-    "nl3": (0, 4, 6, 8, 2, 4, 6, 1, 3, 5, 7),
-    "ml2": (0, 16, 16, 14, 16, 14, 14, 17, 15, 15, 15),
-}
-
-PUBLISHED_LEVEL_COUNTS = {
-    2: {6: 64, 8: 1920, 10: 64320, 12: 579072, 14: 397440, 16: 5760},
-    3: {8: 2304, 10: 71680, 12: 628992, 14: 345600},
-    6: {6: 32, 8: 2112, 10: 65312, 12: 638208, 14: 342912},
-    9: {5: 6, 7: 298, 9: 12540, 11: 245556, 13: 784416, 15: 5760},
-    10: {7: 288, 9: 13216, 11: 254016, 13: 746496, 15: 34560},
-}
-
-PUBLISHED_ORBIT_LENGTHS = (1, 651, 18228, 13888, 2016, 312480, 1749888,
-                           64, 41664, 1166592, 888832)
-
+from rmcover.cli import (
+    EXPECTED_LEVEL_COUNTS,
+    EXPECTED_MATRIX_SET_SIZE,
+    EXPECTED_ORBIT_LENGTHS,
+    EXPECTED_TABLE1,
+)
 
 def _line(name: str, ok: bool, detail: str = "") -> None:
     print(f"criterion {name}: {'PASS' if ok else 'FAIL'}"
@@ -62,9 +49,9 @@ def test_criterion_1_table1_published(stats):
         "nl3": tuple(stats[i].nl3 for i in range(11)),
         "ml2": tuple(stats[i].ml2 for i in range(11)),
     }
-    ok = got == PUBLISHED_TABLE1
+    ok = got == EXPECTED_TABLE1
     _line("1 (published table, 44 values)", ok, f"computed {got}")
-    assert got == PUBLISHED_TABLE1
+    assert got == EXPECTED_TABLE1
 
 
 def test_criterion_1_table1_oracle_corrected(stats, tables):
@@ -72,8 +59,8 @@ def test_criterion_1_table1_oracle_corrected(stats, tables):
     that the brute-force oracle proves wrong as published."""
     for key in ("deg", "nl2", "nl3"):
         got = tuple(getattr(stats[i], key) for i in range(11))
-        assert got == PUBLISHED_TABLE1[key], key
-    assert tuple(stats[i].ml2 for i in range(1, 11)) == PUBLISHED_TABLE1["ml2"][1:]
+        assert got == EXPECTED_TABLE1[key], key
+    assert tuple(stats[i].ml2 for i in range(1, 11)) == EXPECTED_TABLE1["ml2"][1:]
     # the defective cell, pinned by an independent oracle
     assert stats[0].ml2 == 18
     ms = MonomialSet.of(6, 3)
@@ -83,7 +70,7 @@ def test_criterion_1_table1_oracle_corrected(stats, tables):
 
 
 def test_criterion_2_level_set_distributions(tables):
-    for i, expected in PUBLISHED_LEVEL_COUNTS.items():
+    for i, expected in EXPECTED_LEVEL_COUNTS.items():
         counts = tables[i].level_counts()
         assert counts == expected, f"fn_{i}"
         assert sum(counts.values()) == 1 << 20
@@ -95,9 +82,9 @@ def test_criterion_3_orbit_lengths(agl6_gens):
     t0 = time.time()
     lengths = ob.all_orbit_lengths(agl6_gens)
     elapsed = time.time() - t0
-    ok = lengths == PUBLISHED_ORBIT_LENGTHS and sum(lengths) == 1 << 22
+    ok = lengths == EXPECTED_ORBIT_LENGTHS and sum(lengths) == 1 << 22
     _line("3 (orbit lengths)", ok, f"{lengths} in {elapsed:.1f}s")
-    assert lengths == PUBLISHED_ORBIT_LENGTHS
+    assert lengths == EXPECTED_ORBIT_LENGTHS
     assert sum(lengths) == 1 << 22
     assert elapsed < 300
 
@@ -112,9 +99,9 @@ def test_criterion_3_matrix_set_size(fn10_orbit):
     computed family either way.
     """
     got = len(fn10_orbit.matrix_set)
-    _line("3 (matrix set size)", got == 130843,
-          f"computed {got}, published 130843")
-    assert got == 130843
+    _line("3 (matrix set size)", got == EXPECTED_MATRIX_SET_SIZE,
+          f"computed {got}, published {EXPECTED_MATRIX_SET_SIZE}")
+    assert got == EXPECTED_MATRIX_SET_SIZE
 
 
 def test_criterion_4_level_set_checks(tables):

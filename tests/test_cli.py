@@ -68,11 +68,6 @@ def test_tables_exclusion_csv(capsys, artifact_dir):
     assert "# rho(4,10) <= 244" in lines
 
 
-def test_tables_require_opt_in_for_builds(capsys, tmp_path):
-    code, _, err = run(capsys, "--tables-dir", str(tmp_path), "tables", "--which", "1")
-    assert code == 2 and "--opt-in-long" in err
-
-
 def test_verify_29_and_310(capsys, artifact_dir):
     code, out, _ = run(capsys, "--tables-dir", str(artifact_dir), "verify", "--stage", "29")
     assert code == 0 and "candidates=5760" in out and "satisfying=0" in out
@@ -87,12 +82,6 @@ def test_verify_610_proxy(capsys, artifact_dir, tmp_path):
     assert code == 0 and "hits=0" in out
 
 
-def test_verify_610_full_requires_opt_in(capsys, artifact_dir):
-    code, _, err = run(capsys, "--tables-dir", str(artifact_dir),
-                       "verify", "--stage", "610")
-    assert code == 2 and "--opt-in-long" in err
-
-
 def test_verify_610_truncated_matrix_set(capsys, artifact_dir, tmp_path):
     import shutil
 
@@ -105,6 +94,19 @@ def test_verify_610_truncated_matrix_set(capsys, artifact_dir, tmp_path):
                        "verify", "--stage", "610", "--stride", "100")
     assert code == 2
     assert "input hash mismatch" in err
+
+
+def test_verify_refuses_a_table_saved_under_another_class(capsys, artifact_dir,
+                                                         tmp_path):
+    import shutil
+
+    swapped = tmp_path / "swapped"
+    shutil.copytree(artifact_dir, swapped)
+    shutil.copy(artifact_dir / "fn3.nlt", swapped / "fn2.nlt")
+    code, out, err = run(capsys, "--tables-dir", str(swapped),
+                         "verify", "--stage", "29")
+    assert code == 2 and out == ""
+    assert "not the order-3 value table of fn_2" in err
 
 
 def test_verify_deterministic_output(capsys, artifact_dir):
@@ -149,7 +151,7 @@ def test_agl_unsupported_field(capsys, tmp_path):
 
 def test_saved_tables_embed_command_and_hash(artifact_dir, tmp_path, capsys):
     # a table produced by the CLI carries the producing command in its trailer
-    code, _, _ = run(capsys, "--tables-dir", str(tmp_path), "--opt-in-long",
+    code, _, _ = run(capsys, "--tables-dir", str(tmp_path),
                      "verify", "--stage", "29")
     assert code == 0
     from rmcover.nonlin import NlTable
@@ -157,3 +159,22 @@ def test_saved_tables_embed_command_and_hash(artifact_dir, tmp_path, capsys):
     _, meta = NlTable.load_with_meta(tmp_path / "fn2.nlt")
     assert meta["command"].startswith("rmcover ")
     assert "sha256" in meta
+
+
+def test_reproduce_all_forwards_to_the_cli(monkeypatch):
+    import runpy
+    from pathlib import Path
+
+    from rmcover import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
+    monkeypatch.setattr("sys.argv", ["reproduce_all.py", "--artifacts", "A",
+                                     "--report", "r.json", "--workers", "2"])
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_all.py"
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 0
+    common = ["--tables-dir", "A", "--workers", "2"]
+    assert calls == [common + ["tables", "--which", "5"],
+                     common + ["--out", "r.json", "verify", "--stage", "all"]]

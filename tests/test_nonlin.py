@@ -149,9 +149,9 @@ def test_table_parity_patterns(tables):
 
 def test_level_set_objects(tables):
     t = tables[6]
-    ls = t.level(6)
-    assert ls.cardinality == 32
-    assert ls.members.sum() == len(t.level_set(6))
+    words = t.level_set(6)
+    assert len(words) == 32 and (t.values[words] == 6).all()
+    assert np.array_equal(np.flatnonzero(t.membership((6,))), words)
     assert t.membership((6, 8)).sum() == 32 + 2112
 
 
@@ -238,6 +238,22 @@ def test_nlt_truncation_detected(tmp_path, tables):
     tables[6].save(path)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
+    with pytest.raises(ValueError, match="input hash mismatch"):
+        nl.NlTable.load(path)
+
+
+def test_nlt_without_trailer_refused(tmp_path, tables):
+    path = tmp_path / "t.nlt"
+    tables[6].save(path)
+    raw = path.read_bytes()
+    end = raw.rindex(b"META")
+    bare = bytearray(raw[:end])
+    bare[100] ^= 1
+    path.write_bytes(bytes(bare))
+    with pytest.raises(ValueError, match="input hash mismatch"):
+        nl.NlTable.load(path)
+    # a trailer without the sha256 is refused the same way
+    path.write_bytes(raw[:end] + b"META" + (2).to_bytes(4, "little") + b"{}")
     with pytest.raises(ValueError, match="input hash mismatch"):
         nl.NlTable.load(path)
 

@@ -145,3 +145,16 @@ def test_all_orbit_lengths_partition(agl6_gens):
 
     order = agl_order(6, 2)
     assert all(order % ln == 0 for ln in lengths)
+
+
+def test_ams_without_trailer_refused(tmp_path, matrix_set):
+    path = tmp_path / "a.ams"
+    matrix_set.save(path)
+    raw = path.read_bytes()
+    end = 8 + 8 * len(matrix_set)
+    path.write_bytes(raw[:end])
+    with pytest.raises(ValueError, match="input hash mismatch"):
+        ob.MatrixSet.load(path)
+    path.write_bytes(raw[:end] + b"META" + (2).to_bytes(4, "little") + b"{}")
+    with pytest.raises(ValueError, match="input hash mismatch"):
+        ob.MatrixSet.load(path)
