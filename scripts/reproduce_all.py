@@ -1,7 +1,7 @@
 """End-to-end reproduction of rho(3,7) = 20: the orbit lengths, then every stage.
 
 Runs `rmcover tables --which 5` and `rmcover verify --stage all`, which builds
-any missing artifact and writes the JSON report.  Usage:
+any missing value table and writes the JSON report.  Usage:
     python scripts/reproduce_all.py --artifacts artifacts --report report.json
 """
 

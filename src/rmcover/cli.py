@@ -5,13 +5,15 @@ EXPECTED_* constants; the library modules never read them.  Exit status: 0 =
 verified/matched, 1 = mismatch or counterexample, 2 = usage/scale/integrity
 error.
 
-Artifacts are kept under a workspace directory (default ./artifacts): NLT1
-value tables per class representative and the AMS1 matrix set.  `Workspace`
-is the one way they are built, saved and loaded: a missing file is built and
-saved, a present one is loaded, hash-checked and checked against the class
-it stands for.  Saved files embed the producing command line and the sha256
-of their payload in their metadata trailer.  `rmcover --checkpoint-dir D
-verify --stage 610` is the resumable sweep.
+The NLT1 value tables of the class representatives are kept under a table
+directory (default ./artifacts).  `_table` is the one way they are built,
+saved and loaded: a missing file is built and saved, a present one is
+loaded, hash-checked and checked against the class it stands for.  Saved
+files embed the producing command line and the sha256 of their payload in
+their metadata trailer.  The type-(6,10) matrix set is never read from a
+file: every sweep derives it from fn_10's orbit.  `rmcover --checkpoint-dir
+D verify --stage 610` is the resumable sweep; `verify --stage all` always
+sweeps every matrix afresh and refuses `--stride` and `--checkpoint-dir`.
 """
 
 from __future__ import annotations
@@ -73,42 +75,20 @@ class JobConfig:
         self.meta = {"command": self.command}
 
 
-class Workspace:
-    """Artifact store for value tables and the matrix set."""
-
-    def __init__(self, cfg: JobConfig):
-        self.cfg = cfg
-        self.root = cfg.tables_dir
-
-    def _table_path(self, index: int) -> str:
-        return os.path.join(self.root, f"fn{index}.nlt")
-
-    def _aset_path(self) -> str:
-        return os.path.join(self.root, "fn10.ams")
-
-    def table(self, index: int) -> nonlin.NlTable:
-        path = self._table_path(index)
-        base = classify.fn_rep(index)
-        if os.path.exists(path):
-            t = nonlin.NlTable.load(path)
-            if t.base != base or t.r != 3:
-                raise CliError(f"{path}: not the order-3 value table of fn_{index}")
-            return t
-        t = nonlin.build_nl_table(base, 3)
-        os.makedirs(self.root, exist_ok=True)
-        t.save(path, meta=dict(self.cfg.meta))
+def _table(cfg: JobConfig, index: int) -> nonlin.NlTable:
+    """fn_index's (6,3) value table, loaded from the table directory or
+    built and saved there."""
+    path = os.path.join(cfg.tables_dir, f"fn{index}.nlt")
+    base = classify.fn_rep(index)
+    if os.path.exists(path):
+        t = nonlin.NlTable.load(path)
+        if t.base != base or t.r != 3:
+            raise CliError(f"{path}: not the order-3 value table of fn_{index}")
         return t
-
-    def matrix_set(self) -> orbit.MatrixSet:
-        path = self._aset_path()
-        if os.path.exists(path):
-            return orbit.MatrixSet.load(path)
-        gens = list(field.agl_generators(6, 2))
-        res = orbit.bfs_orbit(orbit.coset_key(classify.fn_rep(10)), gens,
-                              collect_matrices=True)
-        os.makedirs(self.root, exist_ok=True)
-        res.matrix_set.save(path, meta=dict(self.cfg.meta))
-        return res.matrix_set
+    t = nonlin.build_nl_table(base, 3)
+    os.makedirs(cfg.tables_dir, exist_ok=True)
+    t.save(path, meta=dict(cfg.meta))
+    return t
 
 
 def _emit(cfg: JobConfig, text: str) -> None:
@@ -161,10 +141,9 @@ def _diff_line(ok: bool) -> str:
 
 
 def cmd_tables(args, cfg: JobConfig) -> int:
-    ws = Workspace(cfg)
     which = args.which
     if which == "1":
-        stats = {i: classify.class_stats(i, ws.table(i))
+        stats = {i: classify.class_stats(i, _table(cfg, i))
                  for i in range(classify.NUM_CLASSES)}
         rows = [[f"fn_{i}", s.deg, s.nl2, s.nl3, s.ml2] for i, s in stats.items()]
         diffs = []
@@ -188,7 +167,7 @@ def cmd_tables(args, cfg: JobConfig) -> int:
         ok = True
         lines = []
         for i in indices:
-            counts = ws.table(i).level_counts()
+            counts = _table(cfg, i).level_counts()
             expect = EXPECTED_LEVEL_COUNTS[i]
             ok &= counts == expect
             lines.append(f"fn_{i}: " + " ".join(f"F({k})={v}" for k, v in sorted(counts.items())))
@@ -203,13 +182,10 @@ def cmd_tables(args, cfg: JobConfig) -> int:
         else:
             text = _render_rows(["f", "orbit length"], rows)
         text += f"\nsum = {sum(lengths)} (2^22 = {1 << 22})"
-        if args.save_aset:
-            ms = ws.matrix_set()
-            text += f"\nmatrix set size = {len(ms)} (published {EXPECTED_MATRIX_SET_SIZE})"
         _emit(cfg, text + "\n" + _diff_line(ok))
         return EXIT_OK if ok else EXIT_MISMATCH
     if which == "exclusion":
-        stats = {i: classify.class_stats(i, ws.table(i))
+        stats = {i: classify.class_stats(i, _table(cfg, i))
                  for i in range(classify.NUM_CLASSES)}
         bounds = classify.exclusion_table(stats)
         flagged = set(classify.flagged_types(bounds))
@@ -226,26 +202,23 @@ def cmd_tables(args, cfg: JobConfig) -> int:
 
 
 def cmd_verify(args, cfg: JobConfig) -> int:
-    ws = Workspace(cfg)
     stage = args.stage
     if stage == "29":
-        v = verify.check_29(ws.table(2), ws.table(9))
+        v = verify.check_29(_table(cfg, 2), _table(cfg, 9))
     elif stage == "310":
-        v = verify.check_310(ws.table(3), ws.table(10))
+        v = verify.check_310(_table(cfg, 3), _table(cfg, 10))
     elif stage == "610":
         v = verify.sweep_610(
-            ws.matrix_set(), ws.table(6), ws.table(10),
+            verify.fn10_matrix_set(), _table(cfg, 6), _table(cfg, 10),
             stride=args.stride, checkpoint_dir=cfg.checkpoint_dir,
             workers=cfg.workers,
         )
     elif stage == "all":
-        tables = {i: ws.table(i) for i in range(classify.NUM_CLASSES)}
-        report = verify.prove_rho37(
-            tables, ws.matrix_set(),
-            sweep_stride=args.stride,
-            sweep_checkpoint=cfg.checkpoint_dir,
-            workers=cfg.workers,
-        )
+        if args.stride != 1 or cfg.checkpoint_dir is not None:
+            raise CliError("verify --stage all sweeps every matrix afresh; "
+                           "--stride and --checkpoint-dir apply to --stage 610 only")
+        tables = {i: _table(cfg, i) for i in range(classify.NUM_CLASSES)}
+        report = verify.prove_rho37(tables, workers=cfg.workers)
         text = report.to_text()
         print(text)
         if cfg.out:
@@ -332,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Covering-radius machinery for third-order Reed-Muller codes",
     )
     p.add_argument("--tables-dir", default="artifacts",
-                   help="artifact directory for NLT1/AMS1 files")
+                   help="directory of the NLT1 value tables")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for the type-(6,10) sweep")
     p.add_argument("--checkpoint-dir", default=None)
@@ -352,15 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     t_p = sub.add_parser("tables", help="recompute a published table and diff it")
     t_p.add_argument("--which", required=True,
                      choices=("1", "2", "3", "5", "exclusion"))
-    t_p.add_argument("--save-aset", action="store_true",
-                     help="with --which 5: also build/load the matrix set")
     t_p.add_argument("--csv", action="store_true",
                      help="machine-readable rows for tables 1 and 5")
 
     v_p = sub.add_parser("verify", help="run a verification stage")
     v_p.add_argument("--stage", required=True, choices=("29", "310", "610", "all"))
     v_p.add_argument("--stride", type=int, default=1,
-                     help="sweep matrix stride (100 = the 1%% CI proxy)")
+                     help="sweep matrix stride for --stage 610 "
+                          "(100 = the 1%% CI proxy)")
 
     a_p = sub.add_parser("agl", help="two-generator constructions for GL/AGL")
     a_p.add_argument("--n", type=int, required=True)

@@ -162,15 +162,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverting 0")
         return self.inv_table[a]
 
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        x, m = a, 1
-        while x != 1:
-            x = self.mul(x, a)
-            m += 1
-        return m
-
     def beta_trace(self) -> int:
         """beta + beta^q for a generator beta of the quadratic extension.
 
@@ -274,14 +265,6 @@ class AffineMap:
         inv = _mat_inv(fs, self.A)
         object.__setattr__(self, "A_inv", inv)
         assert _mat_mul(fs, self.A, inv) == _identity_rows(n), "inverse check failed"
-
-    @classmethod
-    def of(cls, q: int, A, b=None) -> "AffineMap":
-        A = tuple(tuple(int(e) for e in row) for row in A)
-        n = len(A)
-        if b is None:
-            b = (0,) * n
-        return cls(q, n, A, tuple(int(e) for e in b))
 
     @classmethod
     def identity(cls, n: int, q: int = 2) -> "AffineMap":

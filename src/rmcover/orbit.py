@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, apply_affine, monomial_masks, xor_span
+from .boolfn import BooleanFunction, apply_affine, xor_span
 from .field import AffineMap
 from .nonlin import artifact_meta, read_artifact, save_artifact
 
@@ -80,10 +80,6 @@ def _action_tables(L: AffineMap) -> tuple[np.ndarray, np.ndarray]:
 
 def _rows_of(L: AffineMap) -> tuple[int, ...]:
     return tuple(sum(e << j for j, e in enumerate(row)) for row in L.A)
-
-
-def _vec_of(L: AffineMap) -> int:
-    return sum(e << i for i, e in enumerate(L.b))
 
 
 def gf2_pack_rows(rows: np.ndarray) -> np.ndarray:
@@ -211,18 +207,14 @@ def bfs_orbit(start: int, gens: list[AffineMap],
         raise ValueError("orbit search needs AGL(6, F2) generators")
     tables = [_action_tables(g) for g in gens]
     grow_tabs = [xor_span(_rows_of(g), np.uint8) for g in gens]
-    gvecs = [_vec_of(g) for g in gens]
     ngens = len(gens)
     visited = np.zeros(1 << (KEY_BITS - 3), dtype=np.uint8)  # one bit per key
     half_mask = np.uint32((1 << (KEY_BITS // 2)) - 1)
     halfb = np.uint32(KEY_BITS // 2)
 
-    track = collect_matrices or transcript
     frontier_keys = np.array([start], dtype=np.uint32)
     frontier_A = np.array([[1, 2, 4, 8, 16, 32]], dtype=np.uint8)
-    frontier_b = np.zeros(1, dtype=np.uint8)
     frontier_offset = -1  # the seed level has no claim index
-    powers = (1 << np.arange(6, dtype=np.uint8))[None, :]
 
     matrices = np.empty(0, dtype=np.uint64)  # sorted, distinct
     pending: list[np.ndarray] = []
@@ -232,7 +224,7 @@ def bfs_orbit(start: int, gens: list[AffineMap],
     claimed_total = 0
 
     while frontier_keys.size:
-        level_keys, level_A, level_b = [], [], []
+        level_keys, level_A = [], []
         level_claims = 0
         # Parents in chunks, in order: a coset is claimed by its first
         # candidate in the chunk where it first appears, as in one pass over
@@ -252,33 +244,16 @@ def bfs_orbit(start: int, gens: list[AffineMap],
             parent_idx = s + claim_pos // ngens
             gen_idx = claim_pos % ngens
             level_keys.append(cand_keys[claim_pos])
-            if track:
+            if collect_matrices:
                 new_A = np.empty((claim_pos.size, 6), dtype=np.uint8)
-                new_b = np.empty(claim_pos.size, dtype=np.uint8)
                 for gi in range(ngens):
                     sel = np.flatnonzero(gen_idx == gi)
-                    if not sel.size:
-                        continue
-                    pa = frontier_A[parent_idx[sel]]
-                    new_A[sel] = grow_tabs[gi][pa]
-                    bg = gvecs[gi]
-                    if bg:
-                        # A_parent . b_G: XOR of A_parent's columns at b_G's bits
-                        acc = np.zeros(sel.size, dtype=np.uint8)
-                        for j in range(6):
-                            if bg >> j & 1:
-                                colbits = (pa >> j) & 1
-                                acc ^= (colbits * powers).sum(axis=1, dtype=np.uint8)
-                        new_b[sel] = acc ^ frontier_b[parent_idx[sel]]
-                    else:
-                        new_b[sel] = frontier_b[parent_idx[sel]]
+                    new_A[sel] = grow_tabs[gi][frontier_A[parent_idx[sel]]]
                 level_A.append(new_A)
-                level_b.append(new_b)
-                if collect_matrices:
-                    pending.append(np.unique(gf2_pack_rows(new_A)))
-                    if sum(p.size for p in pending) > 1 << 17:
-                        matrices = np.unique(np.concatenate([matrices, *pending]))
-                        pending = []
+                pending.append(np.unique(gf2_pack_rows(new_A)))
+                if sum(p.size for p in pending) > 1 << 17:
+                    matrices = np.unique(np.concatenate([matrices, *pending]))
+                    pending = []
             if transcript:
                 t_keys.append(level_keys[-1])
                 if frontier_offset < 0:
@@ -290,9 +265,8 @@ def bfs_orbit(start: int, gens: list[AffineMap],
         frontier_offset = claimed_total
         claimed_total += level_claims
         frontier_keys = np.concatenate(level_keys)
-        if track:
+        if collect_matrices:
             frontier_A = np.concatenate(level_A)
-            frontier_b = np.concatenate(level_b)
 
     mset = None
     if collect_matrices:

@@ -32,13 +32,14 @@ from .boolfn import (
     split,
 )
 from .nonlin import NlTable, nl_r_recursive
-from .orbit import MatrixSet, gf2_invert_rows, gf2_unpack_keys
+from .orbit import MatrixSet, bfs_orbit, coset_key, gf2_invert_rows, gf2_unpack_keys
 
 __all__ = [
     "Verdict",
     "check_29",
     "check_310",
     "reduce_to_610",
+    "fn10_matrix_set",
     "sweep_610",
     "SWEEP_SHARD_SIZE",
     "Report",
@@ -50,6 +51,10 @@ __all__ = [
 WITNESS_ANF = "x1x2x3x4+x1x4x6x7+x2x3x6x7+x3x4x5x7"
 
 SWEEP_SHARD_SIZE = 1024
+
+# Case-2 instances drawn per reduction pair, and the seed they are drawn from.
+REDUCTION_SAMPLES = 3
+REDUCTION_SEED = 20
 
 
 @dataclass(frozen=True)
@@ -203,6 +208,15 @@ def reduce_to_610(f: BooleanFunction) -> tuple[BooleanFunction, tuple[int, int]]
 # ---------------------------------------------------------------------------
 # The type-(6, 10) sweep
 # ---------------------------------------------------------------------------
+
+
+def fn10_matrix_set() -> MatrixSet:
+    """The sweep set: the matrix parts that the AGL(6,2) orbit search of
+    fn_10's coset collects (130,844 matrices)."""
+    from .classify import fn_rep
+    from .field import agl_generators
+
+    return bfs_orbit(coset_key(fn_rep(10)), list(agl_generators(6, 2))).matrix_set
 
 
 def _image_words(matrix_keys: np.ndarray, base_words: np.ndarray) -> np.ndarray:
@@ -507,17 +521,14 @@ class Report:
         return "\n".join(lines)
 
 
-def prove_rho37(tables, matrix_set: MatrixSet, *,
-                reduction_samples: int = 3,
-                seed: int = 20,
-                sweep_stride: int = 1,
-                sweep_checkpoint: str | None = None,
-                workers: int = 1) -> Report:
+def prove_rho37(tables, *, workers: int = 1) -> Report:
     """Chain every stage and report rho(3,7) = 20.
 
     `tables` maps the class index to its (6,3) value table; all eleven are
     needed for the bound stage, and indices 2, 3, 6, 9, 10 feed the deep
-    checks.
+    checks.  The type-(6,10) sweep runs over the whole matrix set, derived
+    here from fn_10's orbit, with no stride and no checkpoint: nothing the
+    caller passes can narrow it or replay it.
     """
     from .classify import (
         NUM_CLASSES,
@@ -561,12 +572,12 @@ def prove_rho37(tables, matrix_set: MatrixSet, *,
     stages.append(check_29(tables[2], tables[9]))
     stages.append(check_310(tables[3], tables[10]))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(REDUCTION_SEED)
     landed: dict[str, int] = {"total": 0, "into_610": 0}
     reduction_ok = True
     allowed_targets = {(i, j) for i in (4, 5, 6) for j in (7, 8, 9, 10)}
     for pair in ((2, 10), (2, 9), (3, 10)):
-        for _ in range(reduction_samples):
+        for _ in range(REDUCTION_SAMPLES):
             inst = case2_instance(pair, rng)
             _, newtype = reduce_to_610(inst)
             landed["total"] += 1
@@ -578,11 +589,8 @@ def prove_rho37(tables, matrix_set: MatrixSet, *,
         "reduction", "pass" if reduction_ok else "fail", dict(landed),
     ))
 
-    stages.append(sweep_610(
-        matrix_set, tables[6], tables[10],
-        stride=sweep_stride, checkpoint_dir=sweep_checkpoint,
-        workers=workers,
-    ))
+    stages.append(sweep_610(fn10_matrix_set(), tables[6], tables[10],
+                            workers=workers))
 
     witness = BooleanFunction.from_anf_string(WITNESS_ANF, n=7)
     wv = nl_r_recursive(witness, 3)

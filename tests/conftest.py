@@ -45,12 +45,11 @@ def matrix_set(fn10_orbit):
 
 
 @pytest.fixture(scope="session")
-def artifact_dir(tmp_path_factory, tables, matrix_set):
-    """Prebuilt NLT1/AMS1 artifacts for CLI tests."""
+def artifact_dir(tmp_path_factory, tables):
+    """Prebuilt NLT1 value tables for CLI tests."""
     root = tmp_path_factory.mktemp("artifacts")
     for i in range(11):
         tables[i].save(root / f"fn{i}.nlt", meta={"command": "test fixture"})
-    matrix_set.save(root / "fn10.ams", meta={"command": "test fixture"})
     return root
 
 

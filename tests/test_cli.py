@@ -82,18 +82,33 @@ def test_verify_610_proxy(capsys, artifact_dir, tmp_path):
     assert code == 0 and "hits=0" in out
 
 
-def test_verify_610_truncated_matrix_set(capsys, artifact_dir, tmp_path):
+def test_verify_610_derives_the_matrix_set(capsys, artifact_dir, matrix_set,
+                                           tmp_path):
+    # a hash-consistent subset saved as fn10.ams in the table directory must
+    # not stand in for fn_10's orbit
     import shutil
 
-    broken = tmp_path / "broken"
-    shutil.copytree(artifact_dir, broken)
-    ams = broken / "fn10.ams"
-    raw = ams.read_bytes()
-    ams.write_bytes(raw[: len(raw) - 4000])
-    code, _, err = run(capsys, "--tables-dir", str(broken),
+    from rmcover.orbit import MatrixSet
+
+    planted = tmp_path / "planted"
+    shutil.copytree(artifact_dir, planted)
+    MatrixSet(matrix_set.members[::1000].copy()).save(planted / "fn10.ams")
+    code, out, _ = run(capsys, "--tables-dir", str(planted),
                        "verify", "--stage", "610", "--stride", "100")
+    assert code == 0 and "matrices=1309 " in out
+
+
+@pytest.mark.parametrize("options", [
+    ["verify", "--stage", "all", "--stride", "1000"],
+    ["--checkpoint-dir", "CK", "verify", "--stage", "all"],
+])
+def test_verify_all_refuses_a_partial_or_replayed_sweep(capsys, artifact_dir,
+                                                        tmp_path, options):
+    argv = [str(tmp_path / "ck") if a == "CK" else a for a in options]
+    code, out, err = run(capsys, "--tables-dir", str(artifact_dir), *argv)
     assert code == 2
-    assert "input hash mismatch" in err
+    assert "conclusion:" not in out
+    assert "--stride and --checkpoint-dir" in err
 
 
 def test_verify_refuses_a_table_saved_under_another_class(capsys, artifact_dir,

@@ -261,7 +261,7 @@ def test_sweep_matches_per_matrix_reference(matrix_set, tables, tmp_path):
 
 def test_prove_rho37(tables, matrix_set):
     full_tables = {i: tables[i] for i in range(11)}
-    report = vf.prove_rho37(full_tables, matrix_set, reduction_samples=2)
+    report = vf.prove_rho37(full_tables)
     assert report.passed
     assert report.conclusion == "rho(3,7) = 20"
     names = [v.stage for v in report.stages]
@@ -275,3 +275,10 @@ def test_prove_rho37(tables, matrix_set):
     assert by_name["witness"].counters["nl3"] == 20
     assert by_name["exclusion"].counters["off_diagonal_excluded"] == 51
     assert by_name["exclusion"].counters["rho_upper_from_bounds"] == 22
+    # the whole derived matrix set, swept afresh
+    sweep = by_name["sweep_610"]
+    assert sweep.counters["matrices"] == 130844
+    assert sweep.counters["resumed_shards"] == 0
+    assert sweep.inputs["matrix_set"] == vf.matrixset_digest(matrix_set)
+    assert sweep.inputs["stride"] == 1
+    assert by_name["reduction"].counters["total"] == 3 * vf.REDUCTION_SAMPLES
