@@ -1,8 +1,8 @@
 """End-to-end reproduction of rho(3,7) = 20: the orbit lengths, then every stage.
 
 Runs `rmcover tables --which 5` and `rmcover verify --stage all`, which builds
-any missing value table and writes the JSON report.  Usage:
-    python scripts/reproduce_all.py --artifacts artifacts --report report.json
+the eleven value tables in process and writes the JSON report.  Usage:
+    python scripts/reproduce_all.py --report report.json
 """
 
 import argparse
@@ -13,11 +13,10 @@ from rmcover import cli
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--artifacts", default="artifacts")
     ap.add_argument("--report", default="report.json")
     ap.add_argument("--workers", default="1", help="worker processes for the sweep")
     args = ap.parse_args()
-    common = ["--tables-dir", args.artifacts, "--workers", args.workers]
+    common = ["--workers", args.workers]
     return (cli.main(common + ["tables", "--which", "5"])
             or cli.main(common + ["--out", args.report, "verify", "--stage", "all"]))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .boolfn import BooleanFunction, degree, homogeneous_part, split
-from .nonlin import build_nl_table, ml_r, nl_r_recursive
+from .nonlin import NlTable, nl_r_recursive
 
 __all__ = [
     "NUM_CLASSES",
@@ -70,16 +70,14 @@ class ClassStats:
     ml2: int
 
 
-def class_stats(index: int, table=None) -> ClassStats:
+def class_stats(index: int, table: NlTable) -> ClassStats:
     """Degree, nl_2, nl_3 and ml_2 of fn_index, all recomputed.
 
-    ml_2 needs the full 2^20-entry order-3 value table; pass a prebuilt
-    NlTable for the representative to reuse one.
+    nl_2 and ml_2 are read off the representative's 2^20-entry order-3
+    value table.
     """
     f = fn_rep(index)
-    if table is None:
-        table = build_nl_table(f, 3)
-    elif table.base != f:
+    if table.base != f:
         raise ValueError("supplied table was built for a different base")
     return ClassStats(
         index=index,

@@ -5,25 +5,22 @@ EXPECTED_* constants; the library modules never read them.  Exit status: 0 =
 verified/matched, 1 = mismatch or counterexample, 2 = usage/scale/integrity
 error.
 
-The NLT1 value tables of the class representatives are kept under a table
-directory (default ./artifacts).  `_table` is the one way they are built,
-saved and loaded: a missing file is built and saved, a present one is
-loaded, hash-checked and checked against the class it stands for.  Saved
-files embed the producing command line and the sha256 of their payload in
-their metadata trailer.  The type-(6,10) matrix set is never read from a
-file: every sweep derives it from fn_10's orbit.  `rmcover --checkpoint-dir
-D verify --stage 610` is the resumable sweep; `verify --stage all` always
-sweeps every matrix afresh and refuses `--stride` and `--checkpoint-dir`.
+The CLI reads no table or matrix-set file: every command builds the (6,3)
+value tables of the class representatives it needs in process (`_table`),
+and every sweep derives the type-(6,10) matrix set from fn_10's orbit, so
+each verdict follows from what the run itself computed.  `rmcover
+--checkpoint-dir D verify --stage 610` is the resumable sweep; `verify
+--stage all` always sweeps every matrix afresh and refuses `--stride` and
+`--checkpoint-dir`.  Output written with `--out` ends with the producing
+command line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import shlex
 import sys
-from dataclasses import dataclass, field as dc_field
 
 from . import boolfn, classify, field, nonlin, orbit, verify
 
@@ -60,42 +57,16 @@ class CliError(Exception):
     """Usage/scale/integrity problem; maps to exit status 2."""
 
 
-@dataclass
-class JobConfig:
-    """Resolved invocation: command line, paths, worker count."""
-
-    command: str
-    tables_dir: str
-    workers: int = 1
-    checkpoint_dir: str | None = None
-    out: str | None = None
-    meta: dict = dc_field(init=False)
-
-    def __post_init__(self) -> None:
-        self.meta = {"command": self.command}
+def _table(index: int) -> nonlin.NlTable:
+    """fn_index's (6,3) value table, built in process."""
+    return nonlin.build_nl_table(classify.fn_rep(index), 3)
 
 
-def _table(cfg: JobConfig, index: int) -> nonlin.NlTable:
-    """fn_index's (6,3) value table, loaded from the table directory or
-    built and saved there."""
-    path = os.path.join(cfg.tables_dir, f"fn{index}.nlt")
-    base = classify.fn_rep(index)
-    if os.path.exists(path):
-        t = nonlin.NlTable.load(path)
-        if t.base != base or t.r != 3:
-            raise CliError(f"{path}: not the order-3 value table of fn_{index}")
-        return t
-    t = nonlin.build_nl_table(base, 3)
-    os.makedirs(cfg.tables_dir, exist_ok=True)
-    t.save(path, meta=dict(cfg.meta))
-    return t
-
-
-def _emit(cfg: JobConfig, text: str) -> None:
+def _emit(args, cmdline: str, text: str) -> None:
     print(text)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n# command: " + cfg.command + "\n")
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n# command: " + cmdline + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +82,7 @@ def _parse_function(args) -> boolfn.BooleanFunction:
     return boolfn.BooleanFunction.from_hex(args.hex, n=args.n)
 
 
-def cmd_nl(args, cfg: JobConfig) -> int:
+def cmd_nl(args, cmdline: str) -> int:
     f = _parse_function(args)
     r = args.r
     try:
@@ -124,9 +95,9 @@ def cmd_nl(args, cfg: JobConfig) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if args.show_function:
-        _emit(cfg, f"anf: {f.to_anf_string()}\nhex: {f.to_hex()}\n{value}")
+        _emit(args, cmdline, f"anf: {f.to_anf_string()}\nhex: {f.to_hex()}\n{value}")
     else:
-        _emit(cfg, str(value))
+        _emit(args, cmdline, str(value))
     return EXIT_OK
 
 
@@ -140,10 +111,10 @@ def _diff_line(ok: bool) -> str:
     return "all values match" if ok else "MISMATCH against published values"
 
 
-def cmd_tables(args, cfg: JobConfig) -> int:
+def cmd_tables(args, cmdline: str) -> int:
     which = args.which
     if which == "1":
-        stats = {i: classify.class_stats(i, _table(cfg, i))
+        stats = {i: classify.class_stats(i, _table(i))
                  for i in range(classify.NUM_CLASSES)}
         rows = [[f"fn_{i}", s.deg, s.nl2, s.nl3, s.ml2] for i, s in stats.items()]
         diffs = []
@@ -160,18 +131,18 @@ def cmd_tables(args, cfg: JobConfig) -> int:
         text += "\n" + _diff_line(not diffs)
         for d in diffs:
             text += "\n  " + d
-        _emit(cfg, text)
+        _emit(args, cmdline, text)
         return EXIT_OK if not diffs else EXIT_MISMATCH
     if which in ("2", "3"):
         indices = (2, 3, 6) if which == "2" else (9, 10)
         ok = True
         lines = []
         for i in indices:
-            counts = _table(cfg, i).level_counts()
+            counts = _table(i).level_counts()
             expect = EXPECTED_LEVEL_COUNTS[i]
             ok &= counts == expect
             lines.append(f"fn_{i}: " + " ".join(f"F({k})={v}" for k, v in sorted(counts.items())))
-        _emit(cfg, "\n".join(lines) + "\n" + _diff_line(ok))
+        _emit(args, cmdline, "\n".join(lines) + "\n" + _diff_line(ok))
         return EXIT_OK if ok else EXIT_MISMATCH
     if which == "5":
         lengths = orbit.all_orbit_lengths()
@@ -182,10 +153,10 @@ def cmd_tables(args, cfg: JobConfig) -> int:
         else:
             text = _render_rows(["f", "orbit length"], rows)
         text += f"\nsum = {sum(lengths)} (2^22 = {1 << 22})"
-        _emit(cfg, text + "\n" + _diff_line(ok))
+        _emit(args, cmdline, text + "\n" + _diff_line(ok))
         return EXIT_OK if ok else EXIT_MISMATCH
     if which == "exclusion":
-        stats = {i: classify.class_stats(i, _table(cfg, i))
+        stats = {i: classify.class_stats(i, _table(i))
                  for i in range(classify.NUM_CLASSES)}
         bounds = classify.exclusion_table(stats)
         flagged = set(classify.flagged_types(bounds))
@@ -196,35 +167,35 @@ def cmd_tables(args, cfg: JobConfig) -> int:
         lines.append(f"# rho(3,7) <= {classify.rho_upper_bound(stats)} from the class table")
         for (r, n), b in sorted(classify.chain_bounds().items()):
             lines.append(f"# rho({r},{n}) <= {b}")
-        _emit(cfg, "\n".join(lines))
+        _emit(args, cmdline, "\n".join(lines))
         return EXIT_OK
     raise CliError(f"unknown table {which!r}")
 
 
-def cmd_verify(args, cfg: JobConfig) -> int:
+def cmd_verify(args, cmdline: str) -> int:
     stage = args.stage
     if stage == "29":
-        v = verify.check_29(_table(cfg, 2), _table(cfg, 9))
+        v = verify.check_29(_table(2), _table(9))
     elif stage == "310":
-        v = verify.check_310(_table(cfg, 3), _table(cfg, 10))
+        v = verify.check_310(_table(3), _table(10))
     elif stage == "610":
         v = verify.sweep_610(
-            verify.fn10_matrix_set(), _table(cfg, 6), _table(cfg, 10),
-            stride=args.stride, checkpoint_dir=cfg.checkpoint_dir,
-            workers=cfg.workers,
+            verify.fn10_matrix_set(), _table(6), _table(10),
+            stride=args.stride, checkpoint_dir=args.checkpoint_dir,
+            workers=args.workers,
         )
     elif stage == "all":
-        if args.stride != 1 or cfg.checkpoint_dir is not None:
+        if args.stride != 1 or args.checkpoint_dir is not None:
             raise CliError("verify --stage all sweeps every matrix afresh; "
                            "--stride and --checkpoint-dir apply to --stage 610 only")
-        tables = {i: _table(cfg, i) for i in range(classify.NUM_CLASSES)}
-        report = verify.prove_rho37(tables, workers=cfg.workers)
+        tables = {i: _table(i) for i in range(classify.NUM_CLASSES)}
+        report = verify.prove_rho37(tables, workers=args.workers)
         text = report.to_text()
         print(text)
-        if cfg.out:
+        if args.out:
             payload = json.loads(report.to_json())
-            payload["command"] = cfg.command
-            with open(cfg.out, "w") as fh:
+            payload["command"] = cmdline
+            with open(args.out, "w") as fh:
                 fh.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_OK if report.passed else EXIT_MISMATCH
     else:
@@ -233,7 +204,7 @@ def cmd_verify(args, cfg: JobConfig) -> int:
     text = f"[{v.outcome}] {v.stage} {counters}"
     if v.counterexample is not None:
         text += f"\ncounterexample: {v.counterexample}"
-    _emit(cfg, text)
+    _emit(args, cmdline, text)
     return EXIT_OK if v.passed else EXIT_MISMATCH
 
 
@@ -251,7 +222,7 @@ def _format_affine(fs: field.FieldSpec, L: field.AffineMap) -> str:
     return f"A=[{mat}] b=[{vec}]"
 
 
-def cmd_agl(args, cfg: JobConfig) -> int:
+def cmd_agl(args, cmdline: str) -> int:
     try:
         fs = field.FieldSpec.of(args.q)
         agl_pair = field.agl_generators(args.n, fs)
@@ -269,7 +240,7 @@ def cmd_agl(args, cfg: JobConfig) -> int:
         ]
         if fs.k > 1:
             lines.append(f"field model: modulus coefficients {fs.modulus}, alpha = a")
-        _emit(cfg, "\n".join(lines))
+        _emit(args, cmdline, "\n".join(lines))
         return EXIT_OK
     try:
         if args.action == "order":
@@ -278,16 +249,16 @@ def cmd_agl(args, cfg: JobConfig) -> int:
             want_agl = field.agl_order(args.n, args.q)
             want_gl = field.gl_order(args.n, args.q)
             ok = got_agl == want_agl and got_gl == want_gl
-            _emit(cfg, f"AGL closure {got_agl} (formula {want_agl}); "
-                       f"GL closure {got_gl} (formula {want_gl})")
+            _emit(args, cmdline, f"AGL closure {got_agl} (formula {want_agl}); "
+                                 f"GL closure {got_gl} (formula {want_gl})")
             return EXIT_OK if ok else EXIT_MISMATCH
         if args.action == "cyclic":
             size = field.generate_group(list(agl_pair))
             m = field.max_element_order(list(agl_pair))
             if m < size:
-                _emit(cfg, f"not cyclic (max order {m} < {size})")
+                _emit(args, cmdline, f"not cyclic (max order {m} < {size})")
                 return EXIT_OK
-            _emit(cfg, f"cyclic (max order {m} = group size)")
+            _emit(args, cmdline, f"cyclic (max order {m} = group size)")
             return EXIT_MISMATCH
     except field.ClosureCapExceeded as exc:
         raise CliError(str(exc)) from exc
@@ -304,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rmcover",
         description="Covering-radius machinery for third-order Reed-Muller codes",
     )
-    p.add_argument("--tables-dir", default="artifacts",
-                   help="directory of the NLT1 value tables")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for the type-(6,10) sweep")
     p.add_argument("--checkpoint-dir", default=None)
@@ -345,13 +314,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = JobConfig(
-        command="rmcover " + shlex.join(argv),
-        tables_dir=args.tables_dir,
-        workers=args.workers,
-        checkpoint_dir=args.checkpoint_dir,
-        out=args.out,
-    )
+    cmdline = "rmcover " + shlex.join(argv)
     handlers = {
         "nl": cmd_nl,
         "tables": cmd_tables,
@@ -359,7 +322,7 @@ def main(argv=None) -> int:
         "agl": cmd_agl,
     }
     try:
-        return handlers[args.command](args, cfg)
+        return handlers[args.command](args, cmdline)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -456,18 +456,21 @@ class NlTable:
     @classmethod
     def load_with_meta(cls, path) -> tuple["NlTable", dict]:
         raw = read_artifact(path, NLT_MAGIC)
-        n, r, hexlen = raw[4], raw[5], raw[6]
-        pos = 7
-        hextt = raw[pos:pos + hexlen].decode()
-        pos += hexlen
-        taglen = raw[pos]
-        pos += 1
-        tag = raw[pos:pos + taglen]
-        pos += taglen
+        pos = 4
+
+        def take(k: int) -> bytes:
+            nonlocal pos
+            if len(raw) < pos + k:
+                raise ValueError(f"{path}: input hash mismatch (truncated header)")
+            pos += k
+            return raw[pos - k:pos]
+
+        n, r, hexlen = take(3)
+        hextt = take(hexlen).decode()
+        tag = take(take(1)[0])
         if tag != NLT_ORDER_TAG:
             raise ValueError(f"{path}: unknown monomial ordering tag {tag!r}")
-        count = int.from_bytes(raw[pos:pos + 4], "little")
-        pos += 4
+        count = int.from_bytes(take(4), "little")
         if count != 1 << comb(n, r):
             raise ValueError(f"{path}: count {count} inconsistent with (n={n}, r={r})")
         meta = artifact_meta(path, raw, pos + count)

@@ -18,7 +18,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -339,14 +341,6 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
     hits: list[tuple] = []
     resumed = 0
 
-    def flush():
-        if state_path is None:
-            return
-        tmp = state_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump({"inputs": inputs, "shards": done}, fh)
-        os.replace(tmp, state_path)
-
     pending = []
     for s, e in shards:
         key = f"{s}:{e}"
@@ -357,27 +351,26 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
         else:
             pending.append((s, e))
 
-    def handle(s, e, nmat, shard_hits):
-        nonlocal processed
-        processed += nmat
-        hits.extend(shard_hits)
-        done[f"{s}:{e}"] = {"matrices": nmat, "hits": shard_hits}
-        flush()
-
-    if workers <= 1:
-        for s, e in pending:
-            handle(s, e, *_sweep_shard(selected[s:e], base_words, targets, allowed))
-    else:
+    # one result per pending shard, in shard order, computed here or by a
+    # worker pool
+    pool, mapper = nullcontext(), map
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (s, e, pool.submit(_sweep_shard, selected[s:e], base_words,
-                                   targets, allowed))
-                for s, e in pending
-            ]
-            for s, e, fut in futures:
-                handle(s, e, *fut.result())
+        pool = ProcessPoolExecutor(max_workers=workers)
+        mapper = pool.map
+    with pool:
+        results = mapper(_sweep_shard, [selected[s:e] for s, e in pending],
+                         repeat(base_words), repeat(targets), repeat(allowed))
+        for (s, e), (nmat, shard_hits) in zip(pending, results):
+            processed += nmat
+            hits.extend(shard_hits)
+            done[f"{s}:{e}"] = {"matrices": nmat, "hits": shard_hits}
+            if state_path is not None:
+                tmp = state_path + ".tmp"
+                with open(tmp, "w") as fh:
+                    json.dump({"inputs": inputs, "shards": done}, fh)
+                os.replace(tmp, state_path)
 
     counters = {
         "matrices": processed,

@@ -44,15 +44,6 @@ def matrix_set(fn10_orbit):
     return fn10_orbit.matrix_set
 
 
-@pytest.fixture(scope="session")
-def artifact_dir(tmp_path_factory, tables):
-    """Prebuilt NLT1 value tables for CLI tests."""
-    root = tmp_path_factory.mktemp("artifacts")
-    for i in range(11):
-        tables[i].save(root / f"fn{i}.nlt", meta={"command": "test fixture"})
-    return root
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

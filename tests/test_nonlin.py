@@ -237,9 +237,12 @@ def test_nlt_truncation_detected(tmp_path, tables):
     path = tmp_path / "t.nlt"
     tables[6].save(path)
     raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(ValueError, match="input hash mismatch"):
-        nl.NlTable.load(path)
+    # cuts inside the 36-byte header (after n, after r, in the hex truth
+    # table, in the ordering tag, in the count) and in the payload
+    for cut in (5, 6, 8, 20, 30, 34, len(raw) // 2):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="input hash mismatch"):
+            nl.NlTable.load(path)
 
 
 def test_nlt_without_trailer_refused(tmp_path, tables):
@@ -259,10 +262,12 @@ def test_nlt_without_trailer_refused(tmp_path, tables):
 
 
 def test_nlt_corruption_detected(tmp_path, tables):
+    # one value byte flipped, header and META trailer intact
     path = tmp_path / "t.nlt"
     tables[6].save(path)
     raw = bytearray(path.read_bytes())
-    raw[100] ^= 1
+    payload_start = raw.rindex(b"META") - tables[6].values.size
+    raw[payload_start + 12345] ^= 1
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="input hash mismatch"):
         nl.NlTable.load(path)
@@ -298,7 +303,7 @@ def test_covering_matches_direct_nl3(rng):
 
 def test_covering_rejects_mismatched_tables(tables):
     t55 = nl.build_nl_table(BooleanFunction.zero(5), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mismatched"):
         nl.check_covering_condition(tables[6], t55, 10)
 
 
