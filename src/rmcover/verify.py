@@ -52,7 +52,7 @@ __all__ = [
 # The degree-4 witness with third-order nonlinearity exactly 20.
 WITNESS_ANF = "x1x2x3x4+x1x4x6x7+x2x3x6x7+x3x4x5x7"
 
-SWEEP_SHARD_SIZE = 1024
+SWEEP_SHARD_SIZE = 1 << 14
 
 # Case-2 instances drawn per reduction pair, and the seed they are drawn from.
 REDUCTION_SAMPLES = 3
@@ -252,36 +252,54 @@ def _image_words(matrix_keys: np.ndarray, base_words: np.ndarray) -> np.ndarray:
 
 def _sweep_shard(matrix_keys: np.ndarray, base_words: np.ndarray,
                  targets: np.ndarray, allowed: np.ndarray) -> tuple[int, list]:
-    """Run the subset test for one contiguous chunk of matrices.
+    """Run the subset test for one contiguous chunk of matrices, walking
+    them in the lexicographic order of their rank-sorted shifts so that
+    each shift prefix the chunk shares is filtered once.
 
     Returns (matrices processed, hits) where each hit is
-    (matrix_key, target_word, shift_word).
+    (matrix_key, target_word, shift_word), in chunk order.
     """
     nmat = matrix_keys.shape[0]
-    words = _image_words(matrix_keys, base_words)
-    shifts = words[1:] ^ words[0]  # (31, nmat)
-    # pivot of each matrix: its shift word shared by the most matrices of the
-    # shard, the smallest such word on a tie
-    uniq, inverse, counts = np.unique(shifts, return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(shifts.shape)
-    row = (counts[inverse] * uniq.size - inverse).argmax(axis=0)
-    pivot = inverse[row, np.arange(nmat)]
-    # one scan of the targets per distinct pivot, then each matrix of the
-    # group filters the pivot's survivors by its other shifts
-    order = np.argsort(pivot, kind="stable")
+    first = np.empty(nmat, dtype=np.uint32)
+    shifts = np.empty((base_words.size - 1, nmat), dtype=np.uint32)
+    for s in range(0, nmat, 1024):  # image blocks keep their temporaries small
+        words = _image_words(matrix_keys[s:s + 1024], base_words)
+        first[s:s + 1024] = words[0]
+        np.bitwise_xor(words[1:], words[0], out=shifts[:, s:s + 1024])
+    # rank the shard's distinct shift words by count descending, then word
+    # ascending; each matrix's shifts in rank order are its path in a trie
+    uniq, counts = np.unique(shifts, return_counts=True)
+    by_rank = np.argsort(-counts, kind="stable")  # uniq is ascending
+    rank = np.empty(uniq.size, dtype=np.int32)
+    rank[by_rank] = np.arange(uniq.size, dtype=np.int32)
+    ranks = np.empty(shifts.shape, dtype=np.int32)
+    for i in range(shifts.shape[0]):
+        ranks[i] = rank[np.searchsorted(uniq, shifts[i])]
+    del shifts, rank
+    ranks.sort(axis=0)
+    walk = np.lexsort(ranks[::-1])
+    ranks = ranks[:, walk]
+    # levels matrix k shares with matrix k-1 of the walk
+    differs = ranks[:, 1:] != ranks[:, :-1]
+    common = np.zeros(nmat, dtype=np.intp)
+    common[1:] = np.where(differs.any(axis=0), differs.argmax(axis=0), ranks.shape[0])
+    del differs
+    paths = uniq[by_rank][ranks.T]  # one row per matrix: its shifts in rank order
+    del ranks
+    # stack[j]: the targets that survive the first j shifts of the path
+    stack = [targets]
     survivors = {}
-    for group in np.split(order, np.flatnonzero(np.diff(pivot[order])) + 1):
-        first = targets[allowed[targets ^ uniq[pivot[group[0]]]]]
-        for m in group:
-            alive = first
-            for i in range(shifts.shape[0]):
-                if not alive.size:
-                    break
-                if i != row[m]:
-                    alive = alive[allowed[alive ^ shifts[i, m]]]
-            if alive.size:
-                survivors[m] = alive
-    hits = [(int(matrix_keys[m]), int(t), int(words[0, m] ^ t))
+    for k, m in enumerate(walk):
+        del stack[min(common[k], len(stack) - 1) + 1:]
+        alive = stack[-1]
+        for x in paths[k, len(stack) - 1:]:
+            if not alive.size:
+                break
+            alive = alive[allowed[alive ^ x]]
+            stack.append(alive)
+        if alive.size:
+            survivors[m] = alive
+    hits = [(int(matrix_keys[m]), int(t), int(first[m] ^ t))
             for m in sorted(survivors) for t in survivors[m]]
     return nmat, hits
 
@@ -298,13 +316,19 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
 
     For a matrix with image words w_0..w_31, the hits are the targets t with
     t + (w_i + w_0) a target for every i: the intersection of the top level
-    set T with its 31 shifts.  Each shard filters T first by one pivot shift
-    per matrix, the shift shared by the most matrices of the shard (the
-    smallest word on a tie), so T is scanned once per distinct pivot rather
-    than once per matrix; the other 30 shifts follow in order.  An
-    intersection does not depend on the order of its terms, and filtering
-    keeps ascending order, so the hits, their order and the verdict are
-    those of filtering by the 31 shifts in order.
+    set T with its 31 shifts.  Each shard ranks its distinct shift words by
+    how many of its matrices carry them (the smallest word first on a tie)
+    and sorts every matrix's shifts by that rank, so matrices that share
+    their best-ranked shifts share a prefix of their filter sequence.
+    Walking the matrices in lexicographic order of those sequences, each one
+    takes the targets that survive the prefix it has in common with the
+    previous matrix and filters only past it, stopping at the first empty
+    level: T is scanned once per distinct prefix rather than once per
+    matrix.  An intersection does not depend on the order of its terms, and
+    filtering keeps ascending order, so every matrix keeps the survivors of
+    filtering by its 31 shifts in index order; hits are gathered in shard
+    order, so the hits, their order and the verdict do not depend on the
+    walk.
 
     stride > 1 selects the deterministic subset of matrices with index
     divisible by stride (the CI-scale proxy).  Shards are contiguous ranges
@@ -533,11 +557,11 @@ def prove_rho37(tables, *, workers: int = 1) -> Report:
 
     stages: list[Verdict] = []
     stats = {i: class_stats(i, tables[i]) for i in range(NUM_CLASSES)}
+    digests = {f"t{i}": table_digest(tables[i]) for i in range(NUM_CLASSES)}
     stages.append(Verdict(
         "class_table", "pass",
         {f"fn_{i}": (s.deg, s.nl2, s.nl3, s.ml2) for i, s in stats.items()},
-        None,
-        {f"t{i}": table_digest(tables[i]) for i in range(NUM_CLASSES)},
+        None, digests,
     ))
 
     bounds = exclusion_table(stats)
@@ -551,15 +575,19 @@ def prove_rho37(tables, *, workers: int = 1) -> Report:
             "flagged": len(flagged),
             "rho_upper_from_bounds": rho_upper_bound(stats),
         },
-        None if ok else tuple(flagged),
+        None if ok else tuple(flagged), digests,
     ))
 
-    # Diagonal types: both halves share the class's nl_3 parity, so the whole
-    # function cannot have odd nl_3, in particular not 21.  No computation
-    # beyond the class table is involved.
+    # Diagonal types, by the parity rule nl_3(f1 || f2) = nl_3(f1) + nl_3(f2)
+    # (mod 2).  It holds because RM(3,6) and RM(3,7) words have even weight,
+    # so nl_3 has the parity of the weight, and weights add under
+    # concatenation.  Both halves of a type-(i,i) function have nl_3 =
+    # nl3(fn_i), so the sum is even and nl_3 is never 21.
+    kept = tuple(i for i, s in stats.items() if (s.nl3 + s.nl3) % 2 == 21 % 2)
     stages.append(Verdict(
-        "parity", "pass",
-        {"diagonal_types_excluded": NUM_CLASSES},
+        "parity", "fail" if kept else "pass",
+        {"diagonal_types_excluded": NUM_CLASSES - len(kept)},
+        kept or None, digests,
     ))
 
     stages.append(check_29(tables[2], tables[9]))
@@ -579,7 +607,8 @@ def prove_rho37(tables, *, workers: int = 1) -> Report:
             if newtype not in allowed_targets:
                 reduction_ok = False
     stages.append(Verdict(
-        "reduction", "pass" if reduction_ok else "fail", dict(landed),
+        "reduction", "pass" if reduction_ok else "fail", dict(landed), None,
+        {"seed": REDUCTION_SEED, "samples_per_pair": REDUCTION_SAMPLES},
     ))
 
     stages.append(sweep_610(fn10_matrix_set(), tables[6], tables[10],
@@ -589,7 +618,7 @@ def prove_rho37(tables, *, workers: int = 1) -> Report:
     wv = nl_r_recursive(witness, 3)
     stages.append(Verdict(
         "witness", "pass" if wv == 20 else "fail",
-        {"nl3": wv, "degree": degree(witness)},
+        {"nl3": wv, "degree": degree(witness)}, None, {"anf": WITNESS_ANF},
     ))
 
     all_pass = all(v.passed for v in stages)

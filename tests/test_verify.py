@@ -164,9 +164,27 @@ def test_sweep_partial_checkpoint_resume(matrix_set, tables, tmp_path):
 
 
 def test_sweep_worker_equivalence(matrix_set, tables):
-    a = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500)
-    b = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, workers=2)
+    a = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64)
+    b = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64,
+                     workers=2)
+    assert a.counters["shards"] == 5
     assert a.counters == b.counters and a.outcome == b.outcome
+    # a planted target table with hits in the first and the last shard
+    from rmcover.nonlin import NlTable
+    from rmcover.orbit import MatrixSet
+
+    keys = matrix_set.members[::500].copy()
+    base = tables[6].level_set(6)
+    values = np.zeros(1 << 20, dtype=np.uint8)
+    for m, g in ((3, 0x1234), (260, 0xABCDE)):
+        values[vf._image_words(keys[m:m + 1], base)[:, 0] ^ np.uint32(g)] = 15
+    fake = NlTable(tables[10].base, 3, values)
+    a = vf.sweep_610(MatrixSet(keys), tables[6], fake, shard_size=64)
+    b = vf.sweep_610(MatrixSet(keys), tables[6], fake, shard_size=64, workers=2)
+    assert a.outcome == b.outcome == "fail"
+    assert a.counterexample == b.counterexample
+    assert a.counterexample[0] == int(keys[3])
+    assert a.counters == b.counters and a.counters["hits"] >= 2
 
 
 def test_sweep_detects_planted_hit(tables):
@@ -254,6 +272,94 @@ def test_sweep_matches_per_matrix_reference(matrix_set, tables, tmp_path):
         {"inputs": inputs, "shards": shards})
 
 
+def _reference_images(keys, base):
+    """The images T_3(s(A^-1 x)) of the base words, from apply_affine."""
+    from rmcover.boolfn import MonomialSet, apply_affine
+    from rmcover.field import AffineMap
+    from rmcover.orbit import gf2_unpack_keys
+
+    ms3 = MonomialSet.of(6, 3)
+    images = []
+    for rows in gf2_unpack_keys(keys):
+        inv = AffineMap(2, 6, tuple(tuple(int(r) >> j & 1 for j in range(6))
+                                    for r in rows), (0,) * 6).inverse()
+        images.append(np.array([ms3.anf_to_word(apply_affine(ms3.function(int(s)),
+                                                             inv).anf)
+                                for s in base], dtype=np.uint32))
+    return images
+
+
+def test_sweep_prefix_reuse(tmp_path):
+    # Planted base and target tables for matrices whose filter sequences
+    # share prefixes, so that a stale level of the prefix stack or a wrong
+    # common-prefix length shows as a false or a lost hit.  The base words are
+    # 0, x1x2x3 and 30 words without x1; the matrices that move only x1 fix
+    # those 30 words.
+    from rmcover.boolfn import monomial_masks
+    from rmcover.nonlin import NlTable
+    from rmcover.orbit import MatrixSet, gf2_pack_rows
+
+    no_x1 = [k for k, m in enumerate(monomial_masks(6, 3)) if not m & 1]
+    v_words = sorted(sum(1 << no_x1[b] for b in range(10) if c >> b & 1)
+                     for c in range(1, 1 << 10))
+    base = np.array([0, 1, *v_words[:30]], dtype=np.uint32)
+
+    def moves_x1(rows, r0s):
+        # rows . E, where E is the identity with row 0 replaced by r0
+        return [[a ^ (a & 1) * (1 ^ r0) for a in rows] for r0 in r0s]
+
+    # I; x1 -> x1 + x3, which also fixes x1x2x3; x1 -> x1 + x4; x1 -> x1 + x5;
+    # then a matrix A, A with x1 -> x1 + x2, and A with x1 -> x1 + x4
+    rows = (moves_x1([1, 2, 4, 8, 16, 32], (1, 5, 9, 17))
+            + moves_x1([32, 12, 47, 29, 53, 48], (1, 3, 9)))
+    keys = gf2_pack_rows(np.array(rows, dtype=np.uint8))
+    values6 = np.zeros(1 << 20, dtype=np.uint8)
+    values6[base] = 6
+    t6 = NlTable(fn_rep(6), 3, values6)
+
+    # a hit for I at 0x1234; a near miss for all of I's images but x1x2x3 at
+    # 0xABCDE; and a pair of targets that the last shift of A.(x1 -> x1 + x4)
+    # alone keeps
+    images = _reference_images(keys, base)
+    shift_sets = [set((w[1:] ^ w[0]).tolist()) for w in images]
+    (last_y,) = shift_sets[6] - shift_sets[4]
+    values = np.zeros(1 << 20, dtype=np.uint8)
+    values[base ^ np.uint32(0x1234)] = 15
+    values[np.delete(base, 1) ^ np.uint32(0xABCDE)] = 15
+    values[[0x55555, 0x55555 ^ last_y]] = 15
+    allowed = values == 15
+    targets = np.flatnonzero(allowed).astype(np.uint32)
+    # the per-matrix reference: a plain loop over the 31 shifts in index order
+    expected = []
+    for key, w in zip(keys, images):
+        alive = targets
+        for x in w[1:] ^ w[0]:
+            alive = alive[allowed[alive ^ x]]
+        expected += [[int(key), int(t), int(w[0] ^ t)] for t in alive]
+
+    # the planted shapes: equal shift sets (common prefix 31), shift sets
+    # that differ in one word, and a shared prefix that is empty from level 1
+    assert shift_sets[0] == shift_sets[1] and shift_sets[4] == shift_sets[5]
+    assert all(len(shift_sets[0] & shift_sets[m]) == 30 for m in (2, 3))
+    assert len(shift_sets[4] & shift_sets[6]) == 30
+    assert not any(allowed[targets ^ x].any() for x in shift_sets[4] & shift_sets[6])
+    assert allowed[targets ^ last_y].any()
+    near = targets
+    for x in shift_sets[0] & shift_sets[2]:
+        near = near[allowed[near ^ x]]
+    assert near.size  # matrix 2 survives the 30 shifts it shares with I
+    assert {h[0] for h in expected} == {int(keys[0]), int(keys[1])}
+
+    for shard in (4, vf.SWEEP_SHARD_SIZE):
+        ck = tmp_path / f"ck{shard}"
+        v = vf.sweep_610(MatrixSet(keys), t6, NlTable(fn_rep(10), 3, values),
+                         shard_size=shard, checkpoint_dir=str(ck))
+        state = json.loads((ck / "sweep610.json").read_text())
+        assert [h for s in state["shards"].values() for h in s["hits"]] == expected
+        assert v.counterexample == tuple(expected[0])
+        assert v.counters["hits"] == len(expected)
+
+
 # ---------------------------------------------------------------------------
 # the full pipeline
 # ---------------------------------------------------------------------------
@@ -282,3 +388,6 @@ def test_prove_rho37(tables, matrix_set):
     assert sweep.inputs["matrix_set"] == vf.matrixset_digest(matrix_set)
     assert sweep.inputs["stride"] == 1
     assert by_name["reduction"].counters["total"] == 3 * vf.REDUCTION_SAMPLES
+    assert all(v.inputs for v in report.stages)
+    assert payload["stages"][2]["inputs"] == by_name["class_table"].inputs
+    assert by_name["witness"].inputs == {"anf": vf.WITNESS_ANF}
