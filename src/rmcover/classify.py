@@ -20,6 +20,7 @@ from .nonlin import NlTable, nl_r_recursive
 
 __all__ = [
     "NUM_CLASSES",
+    "TARGET",
     "fn_rep",
     "ClassStats",
     "class_stats",
@@ -33,6 +34,10 @@ __all__ = [
 ]
 
 NUM_CLASSES = 11
+
+# The refuted third-order nonlinearity: one flipped bit moves nl_3 by at most
+# 1, so no 7-variable function at TARGET means rho(3, 7) <= TARGET - 1.
+TARGET = 21
 
 # ANF monomial masks of the class representatives (variables x1..x6 as bits
 # 0..5): fn_9 = x1x2x3x4x5x6 + fn_2 and fn_10 = x1x2x3x4x5x6 + fn_3.
@@ -143,9 +148,9 @@ def type_of(f: BooleanFunction) -> tuple[int, int]:
 def exclusion_table(stats: dict[int, ClassStats]) -> dict[tuple[int, int], int]:
     """Upper bound on nl_3 for each type (i, j), 0 <= i <= j <= 10.
 
-    bound(i, j) = min(nl3_i + ml2_j, nl3_j + ml2_i).  Types with bound <= 20
-    cannot reach third-order nonlinearity 21; diagonal types are additionally
-    ruled out by the parity rule regardless of their bound.
+    bound(i, j) = min(nl3_i + ml2_j, nl3_j + ml2_i).  Types with bound below
+    TARGET cannot reach third-order nonlinearity TARGET; diagonal types are
+    additionally ruled out by the parity rule regardless of their bound.
     """
     if sorted(stats) != list(range(NUM_CLASSES)):
         raise ValueError("need stats for all eleven classes")
@@ -157,10 +162,9 @@ def exclusion_table(stats: dict[int, ClassStats]) -> dict[tuple[int, int], int]:
     return out
 
 
-def flagged_types(bounds: dict[tuple[int, int], int],
-                  target: int = 21) -> list[tuple[int, int]]:
-    """Off-diagonal types whose bound does not exclude nl_3 = target."""
-    return sorted(t for t, bd in bounds.items() if t[0] != t[1] and bd >= target)
+def flagged_types(bounds: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
+    """Off-diagonal types whose bound does not exclude nl_3 = TARGET."""
+    return sorted(t for t, bd in bounds.items() if t[0] != t[1] and bd >= TARGET)
 
 
 def rho_upper_bound(stats: dict[int, ClassStats]) -> int:
@@ -180,17 +184,17 @@ CITED_BOUNDS = {
 }
 
 
-def chain_bounds(rho37: int = 20) -> dict[tuple[int, int], int]:
+def chain_bounds() -> dict[tuple[int, int], int]:
     """The six bounds from rho(r, n) <= rho(r-1, n-1) + rho(r, n-1).
 
     Seeds: the verified rho(3,7) plus the cited constants in CITED_BOUNDS.
     Returns {(r, n): bound} for r in {3, 4}, n in {8, 9, 10}.
     """
     b: dict[tuple[int, int], int] = {}
-    b[(3, 8)] = CITED_BOUNDS[("rho", 2, 7)] + rho37
+    b[(3, 8)] = CITED_BOUNDS[("rho", 2, 7)] + TARGET - 1
     b[(3, 9)] = CITED_BOUNDS[("rho_upper", 2, 8)] + b[(3, 8)]
     b[(3, 10)] = CITED_BOUNDS[("rho_upper", 2, 9)] + b[(3, 9)]
-    b[(4, 8)] = rho37 + CITED_BOUNDS[("rho", 4, 7)]
+    b[(4, 8)] = TARGET - 1 + CITED_BOUNDS[("rho", 4, 7)]
     b[(4, 9)] = b[(3, 8)] + b[(4, 8)]
     b[(4, 10)] = b[(3, 9)] + b[(4, 9)]
     return b

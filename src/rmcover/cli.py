@@ -10,7 +10,7 @@ value tables of the class representatives it needs in process (`_table`),
 and every sweep derives the type-(6,10) matrix set from fn_10's orbit, so
 each verdict follows from what the run itself computed.  `rmcover
 --checkpoint-dir D verify --stage 610` is the resumable sweep; `verify
---stage all` always sweeps every matrix afresh and refuses `--stride` and
+--stage all` always sweeps every matrix afresh and refuses
 `--checkpoint-dir`.  Output written with `--out` ends with the producing
 command line.
 """
@@ -181,13 +181,12 @@ def cmd_verify(args, cmdline: str) -> int:
     elif stage == "610":
         v = verify.sweep_610(
             verify.fn10_matrix_set(), _table(6), _table(10),
-            stride=args.stride, checkpoint_dir=args.checkpoint_dir,
-            workers=args.workers,
+            checkpoint_dir=args.checkpoint_dir, workers=args.workers,
         )
     elif stage == "all":
-        if args.stride != 1 or args.checkpoint_dir is not None:
+        if args.checkpoint_dir is not None:
             raise CliError("verify --stage all sweeps every matrix afresh; "
-                           "--stride and --checkpoint-dir apply to --stage 610 only")
+                           "--checkpoint-dir applies to --stage 610 only")
         tables = {i: _table(i) for i in range(classify.NUM_CLASSES)}
         report = verify.prove_rho37(tables, workers=args.workers)
         text = report.to_text()
@@ -299,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v_p = sub.add_parser("verify", help="run a verification stage")
     v_p.add_argument("--stage", required=True, choices=("29", "310", "610", "all"))
-    v_p.add_argument("--stride", type=int, default=1,
-                     help="sweep matrix stride for --stage 610 "
-                          "(100 = the 1%% CI proxy)")
 
     a_p = sub.add_parser("agl", help="two-generator constructions for GL/AGL")
     a_p.add_argument("--n", type=int, required=True)

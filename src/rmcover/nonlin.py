@@ -423,12 +423,6 @@ class NlTable:
         """Indices (coefficient words) of F(k), ascending."""
         return np.flatnonzero(self.values == k).astype(np.uint32)
 
-    def membership(self, ks) -> np.ndarray:
-        """Boolean bitmap of the union of the given level sets."""
-        lut = np.zeros(256, dtype=bool)  # indexed by uint8 values: no wide temporaries
-        lut[list(ks)] = True
-        return lut[self.values]
-
     # ---- NLT1 serialization ----
 
     def _head(self) -> bytes:

@@ -129,10 +129,11 @@ def _invert_block(rows: np.ndarray) -> np.ndarray:
 class MatrixSet:
     """Deduplicated invertible GF(2) matrices, sorted by packed key."""
 
-    members: np.ndarray  # uint64, ascending
+    members: np.ndarray  # contiguous little-endian uint64 (hashed, saved), ascending
 
     def __post_init__(self) -> None:
-        m = self.members
+        m = np.ascontiguousarray(self.members, dtype="<u8")
+        object.__setattr__(self, "members", m)
         if m.ndim != 1 or (m[1:] <= m[:-1]).any():
             raise ValueError("matrix keys must be strictly ascending")
         for s in range(0, m.size, 1 << 14):  # raises on a singular member
@@ -147,7 +148,7 @@ class MatrixSet:
 
     def save(self, path, meta: dict | None = None) -> None:
         head = _AMS_MAGIC + len(self.members).to_bytes(4, "little")
-        save_artifact(path, head, self.members.astype("<u8", copy=False), meta)
+        save_artifact(path, head, self.members, meta)
 
     @classmethod
     def load(cls, path) -> "MatrixSet":

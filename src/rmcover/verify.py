@@ -1,11 +1,11 @@
 """The verification pipeline behind rho(3, 7) = 20.
 
-Third-order nonlinearity 21 is refuted type by type.  The bound table from
-the class quantities excludes 51 of the 55 off-diagonal types; the parity
-rule excludes every diagonal type; two level-set inclusion checks dispose of
-the canonical families fn_2 || (fn_9 + g) and fn_3 || (fn_10 + g); the
-constructive reduction maps the remaining shapes of types (2,9), (2,10),
-(3,10) into {4,5,6} x {7,8,9,10}; and the matrix sweep refutes type (6,10)
+Third-order nonlinearity `classify.TARGET` = 21 is refuted type by type.  The
+bound table excludes 51 of the 55 off-diagonal types; the parity rule
+excludes every diagonal type; two level-set inclusion checks dispose of the
+canonical families fn_2 || (fn_9 + g) and fn_3 || (fn_10 + g); the reduction
+maps the remaining shapes of types (2,9), (2,10), (3,10) into the types with
+halves of degrees 5 and 6; and the matrix sweep refutes type (6,10)
 outright.  A witness function with nl_3 = 20 settles the lower bound.
 
 All set manipulation happens on coefficient-word index arrays against the
@@ -32,6 +32,16 @@ from .boolfn import (
     homogeneous_part,
     monomial_masks,
     split,
+)
+from .classify import (
+    NUM_CLASSES,
+    TARGET,
+    class_stats,
+    exclusion_table,
+    flagged_types,
+    fn_rep,
+    rho_upper_bound,
+    type_of,
 )
 from .nonlin import NlTable, nl_r_recursive
 from .orbit import MatrixSet, bfs_orbit, coset_key, gf2_invert_rows, gf2_unpack_keys
@@ -79,7 +89,7 @@ def table_digest(t: NlTable) -> str:
 
 
 def matrixset_digest(ms: MatrixSet) -> str:
-    return hashlib.sha256(ms.members.astype("<u8", copy=False)).hexdigest()[:16]
+    return hashlib.sha256(ms.members).hexdigest()[:16]
 
 
 def _filter_by_inclusion(cands: np.ndarray, probe: np.ndarray,
@@ -93,59 +103,71 @@ def _filter_by_inclusion(cands: np.ndarray, probe: np.ndarray,
     return out
 
 
-def check_29(t2: NlTable, t9: NlTable) -> Verdict:
-    """Type (2,9) family fn_2 || (fn_9 + g): no g admits nl_3 = 21.
+def _family_check(ta: NlTable, tb: NlTable, probes: tuple[int, ...]) -> tuple[int, list]:
+    """The covering condition at TARGET for the family fn_a || (fn_b + g)
+    (or (fn_a + g) || fn_b, the same family): a word x at level h of ta
+    needs tb(x XOR g) >= TARGET - h.  The candidates are the g with
+    tb(g) >= TARGET - ta(0); each probe level h keeps those that pass for
+    every x at level h.  Any probes that leave no g are a proof.
 
-    Candidate shifts are restricted to the top level set of the fn_9 table
-    (forced by 0 sitting in the fn_2 table's bottom attained level); each is
-    tested for level-8 of fn_2 landing inside levels {13, 15} of fn_9
-    shifted by g.  Passing means no candidate satisfies the inclusion.
+    Returns the number of candidates and, per probe, its level set and the
+    g that survive it.
     """
-    _require_63(t2, "check_29 first table")
-    _require_63(t9, "check_29 second table")
-    cands = t9.level_set(15)
-    probe = t2.level_set(8)
-    allowed = t9.membership((13, 15))
-    sat = _filter_by_inclusion(cands, probe, allowed)
+    for t in (ta, tb):
+        _require_63(t, "family check table")
+    cands = tb.values >= TARGET - ta.nl_prev
+    n_cands = int(np.count_nonzero(cands))
+    first, *rest = probes
+    probe, allowed = ta.level_set(first), tb.values >= TARGET - first
+    # the first probe in blocks of 2^17 words (2^20 = cands.size is a
+    # multiple): no index array spans all candidates
+    block = 1 << 17
+    alive = np.concatenate([
+        _filter_by_inclusion(np.arange(s, s + block, dtype=np.uint32)[cands[s:s + block]],
+                             probe, allowed)
+        for s in range(0, cands.size, block)])
+    del cands, allowed
+    rounds = [(probe, alive)]
+    for h in rest:
+        probe = ta.level_set(h)
+        alive = _filter_by_inclusion(alive, probe, tb.values >= TARGET - h)
+        rounds.append((probe, alive))
+    return n_cands, rounds
+
+
+def check_29(t2: NlTable, t9: NlTable) -> Verdict:
+    """Type (2,9) family fn_2 || (fn_9 + g): no g admits nl_3 = TARGET.
+
+    The covering condition at TARGET (`_family_check`) probed at level 8 of
+    the fn_2 table.  Passing means no candidate g survives the probe.
+    """
+    n_cands, [(probe, sat)] = _family_check(t2, t9, (8,))
     counters = {
-        "candidates": int(cands.size),
+        "candidates": n_cands,
         "probe_size": int(probe.size),
         "satisfying": int(sat.size),
     }
     inputs = {"t2": table_digest(t2), "t9": table_digest(t9)}
-    if sat.size:
-        return Verdict("check_29", "fail", counters, (int(sat[0]),), inputs)
-    return Verdict("check_29", "pass", counters, None, inputs)
+    return Verdict("check_29", "fail" if sat.size else "pass", counters,
+                   (int(sat[0]),) if sat.size else None, inputs)
 
 
 def check_310(t3: NlTable, t10: NlTable) -> Verdict:
     """Type (3,10) family fn_3 || (fn_10 + g), two rounds of inclusions.
 
-    Round 1 keeps the g with level-7 of fn_10 inside level-14 of fn_3
-    shifted by g; round 2 requires level-9 of fn_10 inside levels {12, 14}.
-    Passing means no g survives both rounds.
+    The covering condition at TARGET (`_family_check`) probed at level 7 of
+    the fn_10 table, then at level 9.  Passing means no g survives both
+    rounds.
     """
-    _require_63(t3, "check_310 first table")
-    _require_63(t10, "check_310 second table")
-    probe, probe2 = t10.level_set(7), t10.level_set(9)
-    cands, allowed = t3.membership((12, 14)), t3.membership((14,))
-    # round 1 in blocks of 2^17 words (2^20 = cands.size is a multiple): no
-    # index array spans all candidates
-    block = 1 << 17
-    round1 = np.concatenate([
-        _filter_by_inclusion(np.arange(s, s + block, dtype=np.uint32)[cands[s:s + block]],
-                             probe, allowed)
-        for s in range(0, cands.size, block)])
-    round2 = _filter_by_inclusion(round1, probe2, cands)
+    n_cands, [(_, round1), (_, round2)] = _family_check(t10, t3, (7, 9))
     counters = {
-        "round1_candidates": int(cands.sum()),
+        "round1_candidates": n_cands,
         "round1_survivors": int(round1.size),
         "round2_satisfying": int(round2.size),
     }
     inputs = {"t3": table_digest(t3), "t10": table_digest(t10)}
-    if round2.size:
-        return Verdict("check_310", "fail", counters, (int(round2[0]),), inputs)
-    return Verdict("check_310", "pass", counters, None, inputs)
+    return Verdict("check_310", "fail" if round2.size else "pass", counters,
+                   (int(round2[0]),) if round2.size else None, inputs)
 
 
 def _require_63(t: NlTable, what: str) -> None:
@@ -178,8 +200,6 @@ def reduce_to_610(f: BooleanFunction) -> tuple[BooleanFunction, tuple[int, int]]
     monomial (preferring a variable outside the lowest degree-4 monomial of
     h), which lands the result in {4,5,6} x {7,8,9,10}.
     """
-    from .classify import type_of
-
     if f.n != 7:
         raise ValueError("reduction applies to 7-variable functions")
     f1, f2 = split(f)
@@ -215,7 +235,6 @@ def reduce_to_610(f: BooleanFunction) -> tuple[BooleanFunction, tuple[int, int]]
 def fn10_matrix_set() -> MatrixSet:
     """The sweep set: the matrix parts that the AGL(6,2) orbit search of
     fn_10's coset collects (130,844 matrices)."""
-    from .classify import fn_rep
     from .field import agl_generators
 
     return bfs_orbit(coset_key(fn_rep(10)), list(agl_generators(6, 2))).matrix_set
@@ -310,12 +329,13 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
               checkpoint_dir: str | None = None,
               workers: int = 1) -> Verdict:
     """Subset test over every stored matrix: does any shifted image of the
-    bottom level set of the fn_6 table land inside the top level set of the
-    fn_10 table?  Passing (no hit anywhere) refutes nl_3 = 21 for every
-    type-(6,10) function.
+    bottom attained level set of the fn_6 table, at level b, land inside the
+    targets, the words of the fn_10 table at level >= TARGET - b?  That is
+    the covering condition at TARGET on fn_6's bottom level; passing (no hit
+    anywhere) refutes nl_3 = TARGET for every type-(6,10) function.
 
     For a matrix with image words w_0..w_31, the hits are the targets t with
-    t + (w_i + w_0) a target for every i: the intersection of the top level
+    t + (w_i + w_0) a target for every i: the intersection of the target
     set T with its 31 shifts.  Each shard ranks its distinct shift words by
     how many of its matrices carry them (the smallest word first on a tie)
     and sorts every matrix's shifts by that rank, so matrices that share
@@ -331,15 +351,16 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
     walk.
 
     stride > 1 selects the deterministic subset of matrices with index
-    divisible by stride (the CI-scale proxy).  Shards are contiguous ranges
-    of the selected index list; completed shards are checkpointed and
-    skipped on resume.
+    divisible by stride (a proxy for tests and benchmarks).  Shards are
+    contiguous ranges of the selected index list; completed shards are
+    checkpointed and skipped on resume.
     """
     _require_63(t6, "sweep base table")
     _require_63(t10, "sweep target table")
-    base_words = t6.level_set(6)
-    targets = t10.level_set(15)
-    allowed = t10.values == 15
+    bottom = int(t6.values.min())
+    base_words = t6.level_set(bottom)
+    allowed = t10.values >= TARGET - bottom
+    targets = np.flatnonzero(allowed).astype(np.uint32)
     selected = mset.members[::stride] if stride > 1 else mset.members
     inputs = {
         "matrix_set": matrixset_digest(mset),
@@ -467,8 +488,6 @@ def case2_instance(pair: tuple[int, int], rng: np.random.Generator) -> BooleanFu
     the shape the reduction consumes.
     """
     from .boolfn import apply_affine
-    from .classify import fn_rep
-    from .orbit import coset_key
 
     if pair == (2, 10):
         L = random_affine_map(rng)
@@ -547,14 +566,6 @@ def prove_rho37(tables, *, workers: int = 1) -> Report:
     here from fn_10's orbit, with no stride and no checkpoint: nothing the
     caller passes can narrow it or replay it.
     """
-    from .classify import (
-        NUM_CLASSES,
-        class_stats,
-        exclusion_table,
-        flagged_types,
-        rho_upper_bound,
-    )
-
     stages: list[Verdict] = []
     stats = {i: class_stats(i, tables[i]) for i in range(NUM_CLASSES)}
     digests = {f"t{i}": table_digest(tables[i]) for i in range(NUM_CLASSES)}
@@ -566,12 +577,11 @@ def prove_rho37(tables, *, workers: int = 1) -> Report:
 
     bounds = exclusion_table(stats)
     flagged = flagged_types(bounds)
-    excluded_off_diag = sum(1 for (i, j), b in bounds.items() if i != j and b <= 20)
     ok = tuple(flagged) == DEEP_TYPES
     stages.append(Verdict(
         "exclusion", "pass" if ok else "fail",
         {
-            "off_diagonal_excluded": excluded_off_diag,
+            "off_diagonal_excluded": len(bounds) - NUM_CLASSES - len(flagged),
             "flagged": len(flagged),
             "rho_upper_from_bounds": rho_upper_bound(stats),
         },
@@ -582,8 +592,8 @@ def prove_rho37(tables, *, workers: int = 1) -> Report:
     # (mod 2).  It holds because RM(3,6) and RM(3,7) words have even weight,
     # so nl_3 has the parity of the weight, and weights add under
     # concatenation.  Both halves of a type-(i,i) function have nl_3 =
-    # nl3(fn_i), so the sum is even and nl_3 is never 21.
-    kept = tuple(i for i, s in stats.items() if (s.nl3 + s.nl3) % 2 == 21 % 2)
+    # nl3(fn_i), so the sum is even and nl_3 is never the odd TARGET.
+    kept = tuple(i for i, s in stats.items() if (s.nl3 + s.nl3) % 2 == TARGET % 2)
     stages.append(Verdict(
         "parity", "fail" if kept else "pass",
         {"diagonal_types_excluded": NUM_CLASSES - len(kept)},
@@ -593,21 +603,15 @@ def prove_rho37(tables, *, workers: int = 1) -> Report:
     stages.append(check_29(tables[2], tables[9]))
     stages.append(check_310(tables[3], tables[10]))
 
+    # each reduced instance must land in a type whose halves have class
+    # degrees 5 and 6
     rng = np.random.default_rng(REDUCTION_SEED)
-    landed: dict[str, int] = {"total": 0, "into_610": 0}
-    reduction_ok = True
-    allowed_targets = {(i, j) for i in (4, 5, 6) for j in (7, 8, 9, 10)}
-    for pair in ((2, 10), (2, 9), (3, 10)):
-        for _ in range(REDUCTION_SAMPLES):
-            inst = case2_instance(pair, rng)
-            _, newtype = reduce_to_610(inst)
-            landed["total"] += 1
-            if newtype == (6, 10):
-                landed["into_610"] += 1
-            if newtype not in allowed_targets:
-                reduction_ok = False
+    landed = [reduce_to_610(case2_instance(pair, rng))[1]
+              for pair in ((2, 10), (2, 9), (3, 10)) for _ in range(REDUCTION_SAMPLES)]
+    reduction_ok = all({stats[k].deg for k in t} == {5, 6} for t in landed)
     stages.append(Verdict(
-        "reduction", "pass" if reduction_ok else "fail", dict(landed), None,
+        "reduction", "pass" if reduction_ok else "fail",
+        {"total": len(landed), "into_610": landed.count((6, 10))}, None,
         {"seed": REDUCTION_SEED, "samples_per_pair": REDUCTION_SAMPLES},
     ))
 
@@ -617,13 +621,13 @@ def prove_rho37(tables, *, workers: int = 1) -> Report:
     witness = BooleanFunction.from_anf_string(WITNESS_ANF, n=7)
     wv = nl_r_recursive(witness, 3)
     stages.append(Verdict(
-        "witness", "pass" if wv == 20 else "fail",
+        "witness", "pass" if wv == TARGET - 1 else "fail",
         {"nl3": wv, "degree": degree(witness)}, None, {"anf": WITNESS_ANF},
     ))
 
     all_pass = all(v.passed for v in stages)
     return Report(
         stages=tuple(stages),
-        rho_lower=wv if wv == 20 else None,
-        rho_upper=20 if all_pass else None,
+        rho_lower=wv if wv == TARGET - 1 else None,
+        rho_upper=TARGET - 1 if all_pass else None,
     )

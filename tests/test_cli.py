@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmcover import cli
+from rmcover import cli, verify
 from rmcover.cli import main
 from rmcover.nonlin import NlTable
 
@@ -78,12 +78,14 @@ def test_verify_29_and_310(capsys, cached_tables):
     assert code == 0 and "round1_survivors=6912" in out
 
 
-def test_verify_610_proxy(capsys, cached_tables, tmp_path):
-    # the sweep derives fn_10's matrix set: every 100th of its 130,844
+def test_verify_610_sweeps_every_matrix(capsys, monkeypatch, cached_tables,
+                                         matrix_set, tmp_path):
+    # the matrix_set fixture (fn_10's orbit) stands in for the derived set
+    monkeypatch.setattr(verify, "fn10_matrix_set", lambda: matrix_set)
     code, out, _ = run(capsys, "--checkpoint-dir", str(tmp_path / "ck"),
-                       "verify", "--stage", "610", "--stride", "100")
+                       "verify", "--stage", "610")
     assert code == 0 and "hits=0" in out
-    assert "matrices=1309 " in out
+    assert "matrices=130844 " in out
 
 
 def test_verify_reads_no_table_file(capsys, monkeypatch, tmp_path, tables):
@@ -102,17 +104,12 @@ def test_verify_reads_no_table_file(capsys, monkeypatch, tmp_path, tables):
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("options", [
-    ["verify", "--stage", "all", "--stride", "1000"],
-    ["--checkpoint-dir", "CK", "verify", "--stage", "all"],
-])
-def test_verify_all_refuses_a_partial_or_replayed_sweep(capsys, cached_tables,
-                                                        tmp_path, options):
-    argv = [str(tmp_path / "ck") if a == "CK" else a for a in options]
-    code, out, err = run(capsys, *argv)
+def test_verify_all_refuses_a_replayed_sweep(capsys, cached_tables, tmp_path):
+    code, out, err = run(capsys, "--checkpoint-dir", str(tmp_path / "ck"),
+                         "verify", "--stage", "all")
     assert code == 2
     assert "conclusion:" not in out
-    assert "--stride and --checkpoint-dir" in err
+    assert "--checkpoint-dir applies to --stage 610 only" in err
 
 
 def test_verify_deterministic_output(capsys, cached_tables):

@@ -151,8 +151,6 @@ def test_level_set_objects(tables):
     t = tables[6]
     words = t.level_set(6)
     assert len(words) == 32 and (t.values[words] == 6).all()
-    assert np.array_equal(np.flatnonzero(t.membership((6,))), words)
-    assert t.membership((6, 8)).sum() == 32 + 2112
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from rmcover import verify as vf
 from rmcover.boolfn import BooleanFunction, concat, degree, homogeneous_part, split
 from rmcover.classify import fn_rep, type_of
-from rmcover.nonlin import build_nl_table, check_covering_condition, nl_r_recursive
+from rmcover.nonlin import NlTable, build_nl_table, check_covering_condition, nl_r_recursive
 
 
 def test_check_29(tables):
@@ -29,6 +29,54 @@ def test_check_310(tables):
         "round1_survivors": 6912,
         "round2_satisfying": 0,
     }
+
+
+def _survives(ta, tb, g, probes):
+    # the covering condition at 21 for fn_a || (fn_b + g), word by word, on
+    # g itself (the word 0 of ta) and on every word at a probed level of ta
+    words = [0] + [int(x) for h in probes for x in np.flatnonzero(ta.values == h)]
+    return all(int(ta.values[x]) + int(tb.values[x ^ g]) >= 21 for x in words)
+
+
+def test_check_29_planted_survivor(tables):
+    # a copy of fn_9's table where g = 0x2468 survives the level-8 probe
+    g = 0x2468
+    values = tables[9].values.copy()
+    values[g] = 15
+    values[tables[2].level_set(8) ^ np.uint32(g)] = 13
+    fake = NlTable(tables[9].base, 3, values)
+    v = vf.check_29(tables[2], fake)
+    assert v.outcome == "fail" and v.counters["satisfying"] >= 1
+    (found,) = v.counterexample
+    assert found <= g and _survives(tables[2], fake, found, (8,))
+    assert not _survives(tables[2], tables[9], found, (8,))
+
+
+def test_check_310_planted_survivor(tables):
+    # a copy of fn_3's table where g = 0x9ABCD survives both probes
+    g = 0x9ABCD
+    values = tables[3].values.copy()
+    values[g] = 12
+    values[tables[10].level_set(7) ^ np.uint32(g)] = 14
+    values[tables[10].level_set(9) ^ np.uint32(g)] = 12
+    fake = NlTable(tables[3].base, 3, values)
+    v = vf.check_310(fake, tables[10])
+    assert v.outcome == "fail" and v.counters["round2_satisfying"] >= 1
+    (found,) = v.counterexample
+    assert found <= g and _survives(tables[10], fake, found, (7, 9))
+    assert not _survives(tables[10], tables[3], found, (7, 9))
+
+
+def test_check_29_candidates_follow_the_g0_entry(tables):
+    # fn_2's g = 0 entry raised from 6 to 8: the candidates are the words at
+    # level >= 21 - 8 = 13 of fn_9's table, not its top level alone
+    values = tables[2].values.copy()
+    assert values[0] == 6
+    values[0] = 8
+    v = vf.check_29(NlTable(tables[2].base, 3, values), tables[9])
+    counts = tables[9].level_counts()
+    assert v.counters["candidates"] == counts[13] + counts[15] == 790176
+    assert v.counters["probe_size"] == 1920 + 1
 
 
 def test_checks_reject_wrong_scale():
@@ -169,11 +217,13 @@ def test_sweep_worker_equivalence(matrix_set, tables):
                      workers=2)
     assert a.counters["shards"] == 5
     assert a.counters == b.counters and a.outcome == b.outcome
-    # a planted target table with hits in the first and the last shard
-    from rmcover.nonlin import NlTable
+    # a planted target table with hits in the first and the last shard, swept
+    # over a strided view of the keys
     from rmcover.orbit import MatrixSet
 
-    keys = matrix_set.members[::500].copy()
+    keys = matrix_set.members[::500]
+    assert not keys.flags.c_contiguous
+    assert vf.matrixset_digest(MatrixSet(keys)) == vf.matrixset_digest(MatrixSet(keys.copy()))
     base = tables[6].level_set(6)
     values = np.zeros(1 << 20, dtype=np.uint8)
     for m, g in ((3, 0x1234), (260, 0xABCDE)):
@@ -188,19 +238,23 @@ def test_sweep_worker_equivalence(matrix_set, tables):
 
 
 def test_sweep_detects_planted_hit(tables):
-    # sanity of the detector: plant a target table whose top level set is
-    # exactly the identity-slice image set, so g = 0 is a guaranteed hit
+    # sanity of the detector: plant a target table whose words at level
+    # >= 21 - 6 are exactly the identity-slice image set of fn_6's bottom
+    # level 6, so g = 0 is a guaranteed hit; then lift fn_6's table by one,
+    # which moves its bottom level to 7 and the target level to 14
     from rmcover.orbit import MatrixSet
 
     ident_key = np.uint64(1 | 2 << 6 | 4 << 12 | 8 << 18 | 16 << 24 | 32 << 30)
     ms = MatrixSet(np.array([ident_key], dtype=np.uint64))
-    fake_values = np.zeros(1 << 20, dtype=np.uint8)
-    fake_values[tables[6].level_set(6)] = 15
-    fake = type(tables[10])(tables[10].base, 3, fake_values)
-    v = vf.sweep_610(ms, tables[6], fake)
-    assert not v.passed
-    assert v.counters["hits"] > 0
-    assert v.counterexample is not None
+    for lift in (0, 1):
+        t6 = NlTable(tables[6].base, 3, tables[6].values + lift)
+        fake_values = np.zeros(1 << 20, dtype=np.uint8)
+        fake_values[tables[6].level_set(6)] = 15 - lift
+        fake = NlTable(tables[10].base, 3, fake_values)
+        v = vf.sweep_610(ms, t6, fake)
+        assert not v.passed
+        assert v.counters["hits"] > 0 and v.counters["subset_size"] == 32
+        assert v.counterexample is not None
 
 
 def test_sweep_matches_per_matrix_reference(matrix_set, tables, tmp_path):
@@ -208,7 +262,6 @@ def test_sweep_matches_per_matrix_reference(matrix_set, tables, tmp_path):
     # then a plain loop over its 31 shifts in order, on a planted target table
     from rmcover.boolfn import MonomialSet, apply_affine
     from rmcover.field import AffineMap
-    from rmcover.nonlin import NlTable
     from rmcover.orbit import MatrixSet, gf2_unpack_keys
 
     ms3 = MonomialSet.of(6, 3)
@@ -296,7 +349,6 @@ def test_sweep_prefix_reuse(tmp_path):
     # 0, x1x2x3 and 30 words without x1; the matrices that move only x1 fix
     # those 30 words.
     from rmcover.boolfn import monomial_masks
-    from rmcover.nonlin import NlTable
     from rmcover.orbit import MatrixSet, gf2_pack_rows
 
     no_x1 = [k for k, m in enumerate(monomial_masks(6, 3)) if not m & 1]
@@ -313,7 +365,7 @@ def test_sweep_prefix_reuse(tmp_path):
     rows = (moves_x1([1, 2, 4, 8, 16, 32], (1, 5, 9, 17))
             + moves_x1([32, 12, 47, 29, 53, 48], (1, 3, 9)))
     keys = gf2_pack_rows(np.array(rows, dtype=np.uint8))
-    values6 = np.zeros(1 << 20, dtype=np.uint8)
+    values6 = np.full(1 << 20, 8, dtype=np.uint8)
     values6[base] = 6
     t6 = NlTable(fn_rep(6), 3, values6)
 
@@ -365,11 +417,27 @@ def test_sweep_prefix_reuse(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+PASSING_REPORT = """\
+[pass] class_table  fn_0=(0, 0, 0, 18) fn_1=(4, 4, 4, 16) fn_2=(4, 6, 6, 16) \
+fn_3=(4, 10, 8, 14) fn_4=(5, 2, 2, 16) fn_5=(5, 4, 4, 14) fn_6=(5, 8, 6, 14) \
+fn_7=(6, 1, 1, 17) fn_8=(6, 3, 3, 15) fn_9=(6, 7, 5, 15) fn_10=(6, 9, 7, 15)
+[pass] exclusion    off_diagonal_excluded=51 flagged=4 rho_upper_from_bounds=22
+[pass] parity       diagonal_types_excluded=11
+[pass] check_29     candidates=5760 probe_size=1920 satisfying=0
+[pass] check_310    round1_candidates=974592 round1_survivors=6912 round2_satisfying=0
+[pass] reduction    total=9 into_610=2
+[pass] sweep_610    matrices=130844 targets_per_matrix=34560 subset_size=32 hits=0 \
+shards=8 resumed_shards=0
+[pass] witness      nl3=20 degree=4
+conclusion: rho(3,7) = 20"""
+
+
 def test_prove_rho37(tables, matrix_set):
     full_tables = {i: tables[i] for i in range(11)}
     report = vf.prove_rho37(full_tables)
     assert report.passed
     assert report.conclusion == "rho(3,7) = 20"
+    assert report.to_text() == PASSING_REPORT
     names = [v.stage for v in report.stages]
     assert names == ["class_table", "exclusion", "parity", "check_29",
                      "check_310", "reduction", "sweep_610", "witness"]
