@@ -101,23 +101,19 @@ def xor_span(gens, dtype) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _monomial_index(n: int, r: int) -> dict[int, int]:
-    return {m: i for i, m in enumerate(monomial_masks(n, r))}
-
-
 @dataclass(frozen=True)
 class MonomialSet:
-    """The degree-r monomials of n variables under the canonical ordering.
+    """An ascending list of n-variable monomials: the coordinates of a word.
 
     `members[i]` is the mask of the i-th monomial; bit i of a coefficient
-    word refers to `members[i]`.  The ordering (ascending mask value) is the
-    persistent index for homogeneous coefficient words everywhere: value
-    arrays, level sets, file formats.
+    word refers to `members[i]`, and every other monomial is ignored.  The
+    degree-r set `of(n, r)` is the persistent index for homogeneous
+    coefficient words everywhere: value arrays, level sets, file formats.
+    The coset keys of RM(6,6)/RM(3,6) are words over the monomials of
+    degree >= 4.
     """
 
     n: int
-    r: int
     members: tuple[int, ...]
 
     @classmethod
@@ -138,27 +134,32 @@ class MonomialSet:
         return anf
 
     def anf_to_word(self, anf: int) -> int:
-        """Collect the degree-r coefficients of a packed ANF into a word.
-
-        Coefficients outside degree r are ignored.
-        """
+        """Gather the coefficients of the members from a packed ANF."""
         word = 0
-        masked = anf & popcount_mask(self.n, self.r)
-        idx = _monomial_index(self.n, self.r)
-        while masked:
-            low = masked & -masked
-            word |= 1 << idx[low.bit_length() - 1]
-            masked ^= low
+        for i, m in enumerate(self.members):
+            word |= (anf >> m & 1) << i
         return word
 
     def function(self, word: int) -> "BooleanFunction":
-        """The homogeneous function with the given coefficient word."""
+        """The function whose ANF is the given coefficient word."""
         return BooleanFunction.from_anf(self.n, self.word_to_anf(word))
+
+    def action(self, L) -> tuple[np.ndarray, np.ndarray]:
+        """Half lookup tables (lo, hi) of w -> word(function(w) o L).
+
+        The map is linear, so word w maps to lo[w mod 2^h] ^ hi[w >> h] with
+        h = len(self) // 2.  For the degree-r words it is g -> T_r(g o L);
+        for the coset keys it is the induced action on RM(6,6)/RM(3,6).
+        """
+        cols = [self.anf_to_word(apply_affine(self.function(1 << i), L).anf)
+                for i in range(len(self))]
+        half = len(cols) // 2
+        return xor_span(cols[:half], np.uint32), xor_span(cols[half:], np.uint32)
 
 
 @lru_cache(maxsize=None)
 def _monomial_set(n: int, r: int) -> MonomialSet:
-    return MonomialSet(n, r, monomial_masks(n, r))
+    return MonomialSet(n, monomial_masks(n, r))
 
 
 @dataclass(frozen=True)

@@ -318,6 +318,8 @@ def main(argv=None) -> int:
         "agl": cmd_agl,
     }
     try:
+        if args.workers < 1:
+            raise CliError("--workers must be at least 1")
         return handlers[args.command](args, cmdline)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,6 +36,7 @@ import numpy as np
 from .boolfn import (
     BooleanFunction,
     MonomialSet,
+    mobius,
     monomial_masks,
     split,
     weight,
@@ -60,7 +61,6 @@ __all__ = [
     "check_covering_condition",
     "ParityVerdict",
     "parity_check",
-    "word_transform_columns",
     "transform_words",
     "TABLE_WORD_CAP",
     "BRUTE_FORCE_DIM_CAP",
@@ -140,18 +140,10 @@ def _nl1_batch(tts: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _monomial_tt(n: int, mask: int) -> int:
-    tt = 0
-    for x in range(1 << n):
-        if x & mask == mask:
-            tt |= 1 << x
-    return tt
-
-
 @lru_cache(maxsize=None)
 def _word_tts(n: int, r: int) -> np.ndarray:
     """Truth tables (uint64) of every H_n^(r) coefficient word."""
-    return xor_span([_monomial_tt(n, m) for m in monomial_masks(n, r)], np.uint64)
+    return xor_span([mobius(1 << m, n) for m in monomial_masks(n, r)], np.uint64)
 
 
 @lru_cache(maxsize=None)
@@ -337,34 +329,23 @@ def nl_r_bruteforce(f: BooleanFunction, r: int) -> int:
             f"RM({r},{n}) has dimension {dim}; brute force capped at "
             f"{BRUTE_FORCE_DIM_CAP}"
         )
-    tts = [_monomial_tt(n, m) for m in masks]
-    if n == 7:
-        # 128-bit truth tables; only tiny dimensions pass the cap here
-        best = 1 << n
-        for bits in range(1 << dim):
-            acc = f.tt
-            bb = bits
-            while bb:
-                lowbit = bb & -bb
-                acc ^= tts[lowbit.bit_length() - 1]
-                bb ^= lowbit
-            best = min(best, acc.bit_count())
-        return best
+    tts = [mobius(1 << m, n) for m in masks]
     # Leave out the constant monomial (masks[0]): the distance to c + 1 is
     # 2^n minus the distance to c.  The 2^(dim-1) codewords c are enumerated
-    # as a cache-sized split low (13 generators) x high span.
+    # as a cache-sized split low (13 generators) x high span, one span pair
+    # per 64-bit limb of the truth tables (n = 7 has two).
     size = 1 << n
     dtype = np.uint32 if n <= 5 else np.uint64
-    spans = []
-    for gens in (tts[1:14], tts[14:]):
-        span = np.zeros(1 << len(gens), dtype=dtype)
-        for i, t in enumerate(gens):
-            span[1 << i:2 << i] = span[:1 << i] ^ dtype(t)
-        spans.append(span)
-    low, high = spans[0], spans[1] ^ dtype(f.tt)
+    ones = (1 << min(size, 64)) - 1
+    limbs = [(xor_span([t >> p & ones for t in tts[1:14]], dtype),
+              xor_span([t >> p & ones for t in tts[14:]], dtype) ^ dtype(f.tt >> p & ones))
+             for p in range(0, size, 64)]
     best = size
+    (low, high), *upper = limbs  # upper: the high limb at n = 7
     for s in range(0, high.shape[0], 16):
         d = np.bitwise_count(high[s:s + 16, None] ^ low)
+        for low2, high2 in upper:
+            d += np.bitwise_count(high2[s:s + 16, None] ^ low2)
         best = min(best, int(d.min()), size - int(d.max()))
         if best == 0:
             break
@@ -538,25 +519,20 @@ class CoveringVerdict:
 def check_covering_condition(t1: NlTable, t2: NlTable, t: int) -> CoveringVerdict:
     """Does F_{f1}(h) lie inside union_{k >= t-h} F_{f2}(k) for every h?
 
-    Sound and complete for nl_r(f1 || f2) >= t.  The two tables are
-    interchangeable.  On failure, returns the first violating (h, g) with h
-    ascending and g the smallest coefficient word.
+    That is t1(g) + t2(g) >= t for every word g, the sum whose minimum
+    nl_r_recursive takes, so the condition is sound and complete for
+    nl_r(f1 || f2) >= t.  The two tables are interchangeable.  On failure,
+    returns the violating (h, g) with the lowest level h = t1(g) and, at
+    that level, the smallest coefficient word g.
     """
     if (t1.n, t1.r) != (t2.n, t2.r):
         raise ValueError("tables have mismatched (n, r)")
-    v1, v2 = t1.values, t2.values
-    floor2 = int(v2.min())
-    # h ascending; each test is an O(1) lookup against the suffix bitmap of t2
-    for h in sorted(np.unique(v1).tolist()):
-        theta = t - h
-        if theta <= floor2:
-            continue  # suffix union is the whole word space
-        suffix_ok = v2 >= theta
-        members = np.flatnonzero(v1 == h)
-        bad = members[~suffix_ok[members]]
-        if bad.size:
-            return CoveringVerdict(False, int(h), int(bad[0]))
-    return CoveringVerdict(True)
+    v1 = t1.values
+    bad = np.flatnonzero(v1.astype(np.uint16) + t2.values < t)
+    if not bad.size:
+        return CoveringVerdict(True)
+    g = bad[np.argmin(v1[bad])]
+    return CoveringVerdict(False, int(v1[g]), int(g))
 
 
 @dataclass(frozen=True)
@@ -584,34 +560,15 @@ def parity_check(f: BooleanFunction, r: int) -> ParityVerdict:
 # ---------------------------------------------------------------------------
 
 
-def word_transform_columns(n: int, r: int, L, shift: BooleanFunction | None = None):
-    """Images T_r(m o L) of each basis monomial, as coefficient words.
-
-    The induced map on coefficient words is linear; together with an optional
-    additive shift word T_r(shift) it realizes g -> T_r(g o L + shift).
-    """
-    from .boolfn import apply_affine, popcount_mask
-
-    ms = MonomialSet.of(n, r)
-    cols = []
-    for mask in ms.members:
-        g = BooleanFunction.from_anf(n, 1 << mask)
-        img = apply_affine(g, L)
-        cols.append(ms.anf_to_word(img.anf & popcount_mask(n, r)))
-    shift_word = 0
-    if shift is not None:
-        shift_word = ms.anf_to_word(shift.anf)
-    return cols, shift_word
-
-
 def transform_words(words: np.ndarray, n: int, r: int, L,
                     shift: BooleanFunction | None = None) -> np.ndarray:
-    """Apply g -> T_r(g o L) (+ optional shift word) to an array of words."""
-    cols, shift_word = word_transform_columns(n, r, L, shift)
-    half = len(cols) // 2
-    lo, hi = xor_span(cols[:half], np.uint32), xor_span(cols[half:], np.uint32)
+    """Apply g -> T_r(g o L) (+ optional shift word T_r(shift)) to an array
+    of degree-r coefficient words."""
+    ms = MonomialSet.of(n, r)
+    lo, hi = ms.action(L)
+    half = len(ms) // 2
     w = np.asarray(words, dtype=np.uint32)
     out = lo[w & np.uint32((1 << half) - 1)] ^ hi[w >> np.uint32(half)]
-    if shift_word:
-        out ^= np.uint32(shift_word)
+    if shift is not None:
+        out ^= np.uint32(ms.anf_to_word(shift.anf))
     return out

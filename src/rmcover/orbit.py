@@ -2,10 +2,11 @@
 
 A coset f + RM(3,6) is identified by its 22-bit key: the ANF coefficients of
 the 15 degree-4, 6 degree-5 and 1 degree-6 monomials of any representative,
-in canonical (ascending mask) monomial order.  The induced action of an
-affine map on keys is linear, so a generator acts through two 2048-entry
-lookup tables and the breadth-first search over an orbit runs on flat numpy
-arrays.
+in canonical (ascending mask) monomial order, i.e. its word over the
+`MonomialSet` of those monomials.  The induced action of an affine map on
+keys is linear, so a generator acts through the set's two 2048-entry lookup
+tables (`MonomialSet.action`) and the breadth-first search over an orbit
+runs on flat numpy arrays.
 
 The fn_10 run additionally accumulates the matrix parts of the accumulated
 transformations, exactly as the queue-based search records them: the search
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import BooleanFunction, apply_affine, xor_span
+from .boolfn import BooleanFunction, MonomialSet, apply_affine, xor_span
 from .field import AffineMap
 from .nonlin import artifact_meta, read_artifact, save_artifact
 
@@ -38,8 +39,8 @@ __all__ = [
     "gf2_invert_rows",
 ]
 
-KEY_BITS = 22
-_KEY_MASKS = tuple(m for m in range(64) if m.bit_count() >= 4)  # ascending
+_KEYS = MonomialSet(6, tuple(m for m in range(64) if m.bit_count() >= 4))
+KEY_BITS = len(_KEYS)
 _AMS_MAGIC = b"AMS1"
 
 
@@ -47,35 +48,19 @@ def coset_key(f: BooleanFunction) -> int:
     """22-bit key of f + RM(3,6): the degree->=4 ANF coefficients."""
     if f.n != 6:
         raise ValueError("coset keys are defined for 6 variables")
-    key = 0
-    for i, m in enumerate(_KEY_MASKS):
-        key |= (f.anf >> m & 1) << i
-    return key
+    return _KEYS.anf_to_word(f.anf)
 
 
 def key_lift(key: int) -> BooleanFunction:
     """The homogeneous degree->=4 representative of a coset key."""
     if not 0 <= key < 1 << KEY_BITS:
         raise ValueError("key out of range")
-    anf = 0
-    k = key
-    while k:
-        low = k & -k
-        anf |= 1 << _KEY_MASKS[low.bit_length() - 1]
-        k ^= low
-    return BooleanFunction.from_anf(6, anf)
+    return _KEYS.function(key)
 
 
 def coset_act(key: int, L: AffineMap) -> int:
     """Key of (representative o L) + RM(3,6); a right action on keys."""
     return coset_key(apply_affine(key_lift(key), L))
-
-
-def _action_tables(L: AffineMap) -> tuple[np.ndarray, np.ndarray]:
-    """Half lookup tables of the induced linear key action of L."""
-    cols = [coset_act(1 << i, L) for i in range(KEY_BITS)]
-    half = KEY_BITS // 2
-    return xor_span(cols[:half], np.uint32), xor_span(cols[half:], np.uint32)
 
 
 def _rows_of(L: AffineMap) -> tuple[int, ...]:
@@ -206,7 +191,7 @@ def bfs_orbit(start: int, gens: list[AffineMap],
     """
     if any(g.q != 2 or g.n != 6 for g in gens):
         raise ValueError("orbit search needs AGL(6, F2) generators")
-    tables = [_action_tables(g) for g in gens]
+    tables = [_KEYS.action(g) for g in gens]
     grow_tabs = [xor_span(_rows_of(g), np.uint8) for g in gens]
     ngens = len(gens)
     visited = np.zeros(1 << (KEY_BITS - 3), dtype=np.uint8)  # one bit per key

@@ -353,7 +353,8 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
     stride > 1 selects the deterministic subset of matrices with index
     divisible by stride (a proxy for tests and benchmarks).  Shards are
     contiguous ranges of the selected index list; completed shards are
-    checkpointed and skipped on resume.
+    checkpointed and skipped on resume.  workers > 1 sweeps the pending
+    shards in a process pool of at most one worker per pending shard.
     """
     _require_63(t6, "sweep base table")
     _require_63(t10, "sweep target table")
@@ -399,10 +400,11 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
     # one result per pending shard, in shard order, computed here or by a
     # worker pool
     pool, mapper = nullcontext(), map
-    if workers > 1:
+    pool_size = min(workers, len(pending))
+    if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=pool_size)
         mapper = pool.map
     with pool:
         results = mapper(_sweep_shard, [selected[s:e] for s, e in pending],

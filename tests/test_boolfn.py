@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmcover import boolfn as bf
+from rmcover import orbit as ob
 from rmcover.classify import fn_rep
 from rmcover.field import AffineMap, compose
 
@@ -217,3 +218,23 @@ def test_monomial_ordering_ascending():
     ms = bf.MonomialSet.of(6, 4)
     assert list(ms.members) == sorted(ms.members)
     assert all(m.bit_count() == 4 for m in ms.members)
+
+
+def test_monomial_set_ignores_other_monomials():
+    f = F("1+x1+x1x2x3+x1x2x3x4+x2x3x4x5x6", n=6)
+    word = ob._KEYS.anf_to_word(f.anf)
+    assert word.bit_count() == 2
+    assert ob._KEYS.function(word) == F("x1x2x3x4+x2x3x4x5x6", n=6)
+
+
+@pytest.mark.parametrize("ms", [bf.MonomialSet.of(6, 3), ob._KEYS], ids=["deg3", "keys"])
+def test_monomial_set_action_matches_definition(ms, rng):
+    half = len(ms) // 2
+    for c in rng.integers(1, 64, size=3):
+        # a random linear part with a nonzero translation
+        L = AffineMap(2, 6, _random_affine(rng).A, tuple(int(c) >> i & 1 for i in range(6)))
+        lo, hi = ms.action(L)
+        for w in rng.integers(0, 1 << len(ms), size=20):
+            w = int(w)
+            want = ms.anf_to_word(bf.apply_affine(ms.function(w), L).anf)
+            assert int(lo[w & ((1 << half) - 1)] ^ hi[w >> half]) == want

@@ -112,6 +112,16 @@ def test_verify_all_refuses_a_replayed_sweep(capsys, cached_tables, tmp_path):
     assert "--checkpoint-dir applies to --stage 610 only" in err
 
 
+def test_workers_below_one_refused(capsys, monkeypatch):
+    def no_table(index):
+        raise AssertionError("a refused command builds no table")
+
+    monkeypatch.setattr(cli, "_table", no_table)
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "--workers", n, "verify", "--stage", "610")
+        assert (code, out) == (2, "") and "--workers must be at least 1" in err
+
+
 def test_verify_deterministic_output(capsys, cached_tables):
     _, out1, _ = run(capsys, "verify", "--stage", "29")
     _, out2, _ = run(capsys, "verify", "--stage", "29")

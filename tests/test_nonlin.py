@@ -299,6 +299,22 @@ def test_covering_matches_direct_nl3(rng):
         assert not nl.check_covering_condition(t2, t1, direct + 1).holds
 
 
+def test_covering_reports_lowest_level_violator():
+    # violations at level 5 (word 0x00100) and at level 3 (words 0xF0000 and
+    # 0xF0001): the verdict names the lowest level and its smallest word,
+    # not the smallest violating word
+    v1 = np.full(1 << 20, 8, dtype=np.uint8)
+    t2 = nl.NlTable(BooleanFunction.zero(6), 3, v1.copy())
+    assert nl.check_covering_condition(nl.NlTable(BooleanFunction.zero(6), 3, v1.copy()),
+                                       t2, 16).holds
+    v1[0x00100], v1[0xF0000], v1[0xF0001] = 5, 3, 3
+    t1 = nl.NlTable(BooleanFunction.zero(6), 3, v1)
+    for t in (12, 14, 16):
+        v = nl.check_covering_condition(t1, t2, t)
+        assert (v.holds, v.h, v.g_word) == (False, 3, 0xF0000)
+    assert nl.check_covering_condition(t1, t2, 11).holds
+
+
 def test_covering_rejects_mismatched_tables(tables):
     t55 = nl.build_nl_table(BooleanFunction.zero(5), 3)
     with pytest.raises(ValueError, match="mismatched"):

@@ -23,6 +23,15 @@ def test_key_lift_round_trip(rng):
         assert ob.coset_key(ob.key_lift(k)) == k
 
 
+def test_key_action_tables_match_coset_act(agl6_gens, rng):
+    # the tables bfs_orbit looks keys up in, against the definition
+    for L in [*agl6_gens, random_affine_map(rng)]:
+        lo, hi = ob._KEYS.action(L)
+        for k in rng.integers(0, 1 << 22, size=20):
+            k = int(k)
+            assert int(lo[k & 0x7FF] ^ hi[k >> 11]) == ob.coset_act(k, L)
+
+
 def test_coset_act_identity_and_inverse(rng):
     ident = AffineMap.identity(6)
     for _ in range(5):
@@ -41,7 +50,7 @@ def test_coset_act_is_right_action(rng):
 
 def test_translations_fix_degree4_keys_only(rng):
     ident_rows = tuple(tuple(1 if i == j else 0 for j in range(6)) for i in range(6))
-    deg4_positions = [i for i, m in enumerate(ob._KEY_MASKS) if m.bit_count() == 4]
+    deg4_positions = [i for i, m in enumerate(ob._KEYS.members) if m.bit_count() == 4]
     # a random key supported on degree-4 monomials is fixed by every translation
     key4 = 0
     for p in deg4_positions:

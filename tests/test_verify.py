@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from rmcover import verify as vf
-from rmcover.boolfn import BooleanFunction, concat, degree, homogeneous_part, split
+from rmcover.boolfn import BooleanFunction, concat, degree, split
 from rmcover.classify import fn_rep, type_of
-from rmcover.nonlin import NlTable, build_nl_table, check_covering_condition, nl_r_recursive
+from rmcover.field import AffineMap
+from rmcover.nonlin import (
+    NlTable,
+    build_nl_table,
+    check_covering_condition,
+    nl_r_recursive,
+    transform_words,
+)
+from rmcover.orbit import MatrixSet, gf2_unpack_keys
 
 
 def test_check_29(tables):
@@ -144,6 +152,19 @@ def test_reduction_rejects_wrong_shape():
 # ---------------------------------------------------------------------------
 
 
+def _affine_from_rows(rows):
+    """The linear map over GF(2)^6 whose matrix has the given row masks."""
+    return AffineMap(2, 6, tuple(tuple(int(r) >> j & 1 for j in range(6)) for r in rows),
+                     (0,) * 6)
+
+
+def _reference_images(keys, base):
+    """The images T_3(s(A^-1 x)) of the base words s for each matrix A, one
+    matrix at a time through transform_words."""
+    return [transform_words(base, 6, 3, _affine_from_rows(rows).inverse())
+            for rows in gf2_unpack_keys(keys)]
+
+
 def test_identity_slice_from_tables_alone(tables):
     # re-derivable without the orbit machinery: no shift of the bottom level
     # set of the fn_6 table fits inside the top level set of the fn_10 table
@@ -162,22 +183,13 @@ def test_identity_slice_from_tables_alone(tables):
 def test_sweep_projection_covariance(matrix_set, tables, rng):
     # images T_3(s(A^-1 x)) of the bottom level set stay at level 6
     from rmcover.boolfn import MonomialSet, apply_affine
-    from rmcover.field import AffineMap
-    from rmcover.nonlin import nl_r_recursive
-    from rmcover.orbit import gf2_unpack_keys
 
     ms = MonomialSet.of(6, 3)
-    key = int(matrix_set.members[rng.integers(0, len(matrix_set))])
-    rows = gf2_unpack_keys(np.array([key], dtype=np.uint64))[0]
-    A = AffineMap(2, 6, tuple(tuple(int(r) >> j & 1 for j in range(6)) for r in rows),
-                  (0,) * 6)
-    inv = A.inverse()
-    fn6 = fn_rep(6)
-    moved_base = apply_affine(fn6, inv)
-    for w in tables[6].level_set(6)[:4]:
-        s = ms.function(int(w))
-        image = homogeneous_part(apply_affine(s, inv), 3)
-        assert nl_r_recursive(moved_base + image, 2) == 6
+    keys = np.array([matrix_set.members[rng.integers(0, len(matrix_set))]], dtype=np.uint64)
+    moved_base = apply_affine(fn_rep(6), _affine_from_rows(gf2_unpack_keys(keys)[0]).inverse())
+    (images,) = _reference_images(keys, tables[6].level_set(6)[:4])
+    for w in images:
+        assert nl_r_recursive(moved_base + ms.function(int(w)), 2) == 6
 
 
 def test_sweep_proxy_and_checkpoint(matrix_set, tables, tmp_path):
@@ -219,8 +231,6 @@ def test_sweep_worker_equivalence(matrix_set, tables):
     assert a.counters == b.counters and a.outcome == b.outcome
     # a planted target table with hits in the first and the last shard, swept
     # over a strided view of the keys
-    from rmcover.orbit import MatrixSet
-
     keys = matrix_set.members[::500]
     assert not keys.flags.c_contiguous
     assert vf.matrixset_digest(MatrixSet(keys)) == vf.matrixset_digest(MatrixSet(keys.copy()))
@@ -237,13 +247,45 @@ def test_sweep_worker_equivalence(matrix_set, tables):
     assert a.counters == b.counters and a.counters["hits"] >= 2
 
 
+def test_sweep_pool_is_bounded_by_pending_shards(matrix_set, tables, tmp_path, monkeypatch):
+    # a stand-in executor records the pool size it is asked for and maps in
+    # process, so no worker process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            self.map = map
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    ck = str(tmp_path / "ck")
+    sweep = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64,
+                         checkpoint_dir=ck, workers=1000)
+    assert sweep.passed and sweep.counters["shards"] == 5 and sizes == [5]
+    vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64, workers=2)
+    assert sizes == [5, 2]
+    # a checkpoint with every shard done, and a single shard: no pool
+    resumed = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64,
+                           checkpoint_dir=ck, workers=1000)
+    assert resumed.counters["resumed_shards"] == 5
+    single = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, workers=1000)
+    assert single.counters["shards"] == 1 and single.passed
+    assert sizes == [5, 2]
+
+
 def test_sweep_detects_planted_hit(tables):
     # sanity of the detector: plant a target table whose words at level
     # >= 21 - 6 are exactly the identity-slice image set of fn_6's bottom
     # level 6, so g = 0 is a guaranteed hit; then lift fn_6's table by one,
     # which moves its bottom level to 7 and the target level to 14
-    from rmcover.orbit import MatrixSet
-
     ident_key = np.uint64(1 | 2 << 6 | 4 << 12 | 8 << 18 | 16 << 24 | 32 << 30)
     ms = MatrixSet(np.array([ident_key], dtype=np.uint64))
     for lift in (0, 1):
@@ -258,22 +300,11 @@ def test_sweep_detects_planted_hit(tables):
 
 
 def test_sweep_matches_per_matrix_reference(matrix_set, tables, tmp_path):
-    # reference: the 32 images T_3(s(A^-1 x)) of each matrix from apply_affine,
-    # then a plain loop over its 31 shifts in order, on a planted target table
-    from rmcover.boolfn import MonomialSet, apply_affine
-    from rmcover.field import AffineMap
-    from rmcover.orbit import MatrixSet, gf2_unpack_keys
-
-    ms3 = MonomialSet.of(6, 3)
+    # reference: the 32 images T_3(s(A^-1 x)) of each matrix, one matrix at a
+    # time, then a plain loop over its 31 shifts in order, on a planted target
+    # table
     keys = matrix_set.members[60000:60048]  # neighbours share shift words
-    base = tables[6].level_set(6)
-    images = []
-    for rows in gf2_unpack_keys(keys):
-        A = AffineMap(2, 6, tuple(tuple(int(r) >> j & 1 for j in range(6))
-                                  for r in rows), (0,) * 6)
-        inv = A.inverse()
-        images.append(np.array([ms3.anf_to_word(apply_affine(ms3.function(int(w)), inv).anf)
-                                for w in base], dtype=np.uint32))
+    images = _reference_images(keys, tables[6].level_set(6))
     # plant g + images: a hit g + image[0] for matrices 0, 5 (twice) and 40;
     # and near misses for the first shard and matrix 20, each image but one,
     # so that a skipped shift, the pivot included, shows as a false hit
@@ -325,23 +356,6 @@ def test_sweep_matches_per_matrix_reference(matrix_set, tables, tmp_path):
         {"inputs": inputs, "shards": shards})
 
 
-def _reference_images(keys, base):
-    """The images T_3(s(A^-1 x)) of the base words, from apply_affine."""
-    from rmcover.boolfn import MonomialSet, apply_affine
-    from rmcover.field import AffineMap
-    from rmcover.orbit import gf2_unpack_keys
-
-    ms3 = MonomialSet.of(6, 3)
-    images = []
-    for rows in gf2_unpack_keys(keys):
-        inv = AffineMap(2, 6, tuple(tuple(int(r) >> j & 1 for j in range(6))
-                                    for r in rows), (0,) * 6).inverse()
-        images.append(np.array([ms3.anf_to_word(apply_affine(ms3.function(int(s)),
-                                                             inv).anf)
-                                for s in base], dtype=np.uint32))
-    return images
-
-
 def test_sweep_prefix_reuse(tmp_path):
     # Planted base and target tables for matrices whose filter sequences
     # share prefixes, so that a stale level of the prefix stack or a wrong
@@ -349,7 +363,7 @@ def test_sweep_prefix_reuse(tmp_path):
     # 0, x1x2x3 and 30 words without x1; the matrices that move only x1 fix
     # those 30 words.
     from rmcover.boolfn import monomial_masks
-    from rmcover.orbit import MatrixSet, gf2_pack_rows
+    from rmcover.orbit import gf2_pack_rows
 
     no_x1 = [k for k, m in enumerate(monomial_masks(6, 3)) if not m & 1]
     v_words = sorted(sum(1 << no_x1[b] for b in range(10) if c >> b & 1)
