@@ -5,14 +5,11 @@ EXPECTED_* constants; the library modules never read them.  Exit status: 0 =
 verified/matched, 1 = mismatch or counterexample, 2 = usage/scale/integrity
 error.
 
-The CLI reads no table or matrix-set file: every command builds the (6,3)
-value tables of the class representatives it needs in process (`_table`),
-and every sweep derives the type-(6,10) matrix set from fn_10's orbit, so
-each verdict follows from what the run itself computed.  `rmcover
---checkpoint-dir D verify --stage 610` is the resumable sweep; `verify
---stage all` always sweeps every matrix afresh and refuses
-`--checkpoint-dir`.  Output written with `--out` ends with the producing
-command line.
+The CLI reads and writes no file apart from `--out`: every command builds
+the (6,3) value tables of the class representatives it needs in process
+(`_table`), and every sweep derives the type-(6,10) matrix set from fn_10's
+orbit and sweeps all of it, so each verdict follows from what the run itself
+computed.  Output written with `--out` ends with the producing command line.
 """
 
 from __future__ import annotations
@@ -60,6 +57,11 @@ class CliError(Exception):
 def _table(index: int) -> nonlin.NlTable:
     """fn_index's (6,3) value table, built in process."""
     return nonlin.build_nl_table(classify.fn_rep(index), 3)
+
+
+def _class_stats() -> dict:
+    """The class quantities of all eleven representatives, from their tables."""
+    return {i: classify.class_stats(i, _table(i)) for i in range(classify.NUM_CLASSES)}
 
 
 def _emit(args, cmdline: str, text: str) -> None:
@@ -114,8 +116,7 @@ def _diff_line(ok: bool) -> str:
 def cmd_tables(args, cmdline: str) -> int:
     which = args.which
     if which == "1":
-        stats = {i: classify.class_stats(i, _table(i))
-                 for i in range(classify.NUM_CLASSES)}
+        stats = _class_stats()
         rows = [[f"fn_{i}", s.deg, s.nl2, s.nl3, s.ml2] for i, s in stats.items()]
         diffs = []
         for i, s in stats.items():
@@ -156,8 +157,7 @@ def cmd_tables(args, cmdline: str) -> int:
         _emit(args, cmdline, text + "\n" + _diff_line(ok))
         return EXIT_OK if ok else EXIT_MISMATCH
     if which == "exclusion":
-        stats = {i: classify.class_stats(i, _table(i))
-                 for i in range(classify.NUM_CLASSES)}
+        stats = _class_stats()
         bounds = classify.exclusion_table(stats)
         flagged = set(classify.flagged_types(bounds))
         lines = ["i,j,bound,excluded"]
@@ -179,14 +179,9 @@ def cmd_verify(args, cmdline: str) -> int:
     elif stage == "310":
         v = verify.check_310(_table(3), _table(10))
     elif stage == "610":
-        v = verify.sweep_610(
-            verify.fn10_matrix_set(), _table(6), _table(10),
-            checkpoint_dir=args.checkpoint_dir, workers=args.workers,
-        )
+        v = verify.sweep_610(verify.fn10_matrix_set(), _table(6), _table(10),
+                             workers=args.workers)
     elif stage == "all":
-        if args.checkpoint_dir is not None:
-            raise CliError("verify --stage all sweeps every matrix afresh; "
-                           "--checkpoint-dir applies to --stage 610 only")
         tables = {i: _table(i) for i in range(classify.NUM_CLASSES)}
         report = verify.prove_rho37(tables, workers=args.workers)
         text = report.to_text()
@@ -276,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for the type-(6,10) sweep")
-    p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--out", default=None, help="also write the result to this file")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boolfn import BooleanFunction, MonomialSet, apply_affine, xor_span
-from .field import AffineMap
+from .classify import NUM_CLASSES, fn_rep
+from .field import AffineMap, agl_generators
 from .nonlin import artifact_meta, read_artifact, save_artifact
 
 __all__ = [
@@ -270,9 +271,6 @@ def bfs_orbit(start: int, gens: list[AffineMap],
 
 def all_orbit_lengths(gens: list[AffineMap] | None = None) -> tuple[int, ...]:
     """Orbit lengths of the eleven class representatives' cosets."""
-    from .classify import NUM_CLASSES, fn_rep
-    from .field import agl_generators
-
     if gens is None:
         gens = list(agl_generators(6, 2))
     return tuple(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -27,6 +26,7 @@ import numpy as np
 from .boolfn import (
     BooleanFunction,
     MonomialSet,
+    apply_affine,
     concat,
     degree,
     homogeneous_part,
@@ -43,6 +43,7 @@ from .classify import (
     rho_upper_bound,
     type_of,
 )
+from .field import AffineMap, SingularMatrixError, agl_generators, compose
 from .nonlin import NlTable, nl_r_recursive
 from .orbit import MatrixSet, bfs_orbit, coset_key, gf2_invert_rows, gf2_unpack_keys
 
@@ -235,8 +236,6 @@ def reduce_to_610(f: BooleanFunction) -> tuple[BooleanFunction, tuple[int, int]]
 def fn10_matrix_set() -> MatrixSet:
     """The sweep set: the matrix parts that the AGL(6,2) orbit search of
     fn_10's coset collects (130,844 matrices)."""
-    from .field import agl_generators
-
     return bfs_orbit(coset_key(fn_rep(10)), list(agl_generators(6, 2))).matrix_set
 
 
@@ -326,7 +325,6 @@ def _sweep_shard(matrix_keys: np.ndarray, base_words: np.ndarray,
 def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
               stride: int = 1,
               shard_size: int = SWEEP_SHARD_SIZE,
-              checkpoint_dir: str | None = None,
               workers: int = 1) -> Verdict:
     """Subset test over every stored matrix: does any shifted image of the
     bottom attained level set of the fn_6 table, at level b, land inside the
@@ -352,9 +350,10 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
 
     stride > 1 selects the deterministic subset of matrices with index
     divisible by stride (a proxy for tests and benchmarks).  Shards are
-    contiguous ranges of the selected index list; completed shards are
-    checkpointed and skipped on resume.  workers > 1 sweeps the pending
-    shards in a process pool of at most one worker per pending shard.
+    contiguous ranges of shard_size selected matrices, all swept by this
+    call: it reads and writes no file.  workers > 1 sweeps them in a process
+    pool of at most one worker per shard.  The `resumed_shards` counter is
+    always 0.
     """
     _require_63(t6, "sweep base table")
     _require_63(t10, "sweep target table")
@@ -369,55 +368,23 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
         "t10": table_digest(t10),
         "stride": stride,
     }
+    shards = [selected[s:s + shard_size] for s in range(0, selected.shape[0], shard_size)]
 
-    shards = [(s, min(s + shard_size, selected.shape[0]))
-              for s in range(0, selected.shape[0], shard_size)]
-    state_path = None
-    done: dict[str, dict] = {}
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        state_path = os.path.join(checkpoint_dir, "sweep610.json")
-        if os.path.exists(state_path):
-            with open(state_path) as fh:
-                state = json.load(fh)
-            if state.get("inputs") == inputs:
-                done = state.get("shards", {})
-
+    # one result per shard, in shard order, computed here or by a worker pool
     processed = 0
     hits: list[tuple] = []
-    resumed = 0
-
-    pending = []
-    for s, e in shards:
-        key = f"{s}:{e}"
-        if key in done:
-            processed += done[key]["matrices"]
-            hits.extend(tuple(h) for h in done[key]["hits"])
-            resumed += 1
-        else:
-            pending.append((s, e))
-
-    # one result per pending shard, in shard order, computed here or by a
-    # worker pool
     pool, mapper = nullcontext(), map
-    pool_size = min(workers, len(pending))
+    pool_size = min(workers, len(shards))
     if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=pool_size)
         mapper = pool.map
     with pool:
-        results = mapper(_sweep_shard, [selected[s:e] for s, e in pending],
-                         repeat(base_words), repeat(targets), repeat(allowed))
-        for (s, e), (nmat, shard_hits) in zip(pending, results):
+        for nmat, shard_hits in mapper(_sweep_shard, shards, repeat(base_words),
+                                       repeat(targets), repeat(allowed)):
             processed += nmat
             hits.extend(shard_hits)
-            done[f"{s}:{e}"] = {"matrices": nmat, "hits": shard_hits}
-            if state_path is not None:
-                tmp = state_path + ".tmp"
-                with open(tmp, "w") as fh:
-                    json.dump({"inputs": inputs, "shards": done}, fh)
-                os.replace(tmp, state_path)
 
     counters = {
         "matrices": processed,
@@ -425,7 +392,7 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
         "subset_size": int(base_words.size),
         "hits": len(hits),
         "shards": len(shards),
-        "resumed_shards": resumed,
+        "resumed_shards": 0,
     }
     if hits:
         return Verdict("sweep_610", "fail", counters, tuple(hits[0]), inputs)
@@ -439,8 +406,6 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
 
 def random_affine_map(rng: np.random.Generator):
     """Uniform random element of AGL(6, F2)."""
-    from .field import AffineMap, SingularMatrixError
-
     while True:
         rows = rng.integers(0, 64, size=6, dtype=np.uint8)
         A = tuple(tuple(int(r) >> j & 1 for j in range(6)) for r in rows)
@@ -468,9 +433,6 @@ def _normalize_translation(base: BooleanFunction, L):
     full monomial's image is the point indicator away from the all-ones
     point, and a translation moves it there.
     """
-    from .boolfn import apply_affine
-    from .field import AffineMap, compose
-
     for c in range(64):
         tau = AffineMap(2, 6, tuple(tuple(1 if i == j else 0 for j in range(6))
                                     for i in range(6)),
@@ -489,8 +451,6 @@ def case2_instance(pair: tuple[int, int], rng: np.random.Generator) -> BooleanFu
     normalized so the pair h = f1 + f2 has no degree-5 component, matching
     the shape the reduction consumes.
     """
-    from .boolfn import apply_affine
-
     if pair == (2, 10):
         L = random_affine_map(rng)
         f1 = apply_affine(fn_rep(2), L) + _random_cubic(rng)
@@ -565,8 +525,8 @@ def prove_rho37(tables, *, workers: int = 1) -> Report:
     `tables` maps the class index to its (6,3) value table; all eleven are
     needed for the bound stage, and indices 2, 3, 6, 9, 10 feed the deep
     checks.  The type-(6,10) sweep runs over the whole matrix set, derived
-    here from fn_10's orbit, with no stride and no checkpoint: nothing the
-    caller passes can narrow it or replay it.
+    here from fn_10's orbit, with no stride, and reads no file: nothing the
+    caller passes can narrow it, and every shard is swept in this run.
     """
     stages: list[Verdict] = []
     stats = {i: class_stats(i, tables[i]) for i in range(NUM_CLASSES)}

@@ -121,27 +121,24 @@ def test_criterion_4_level_set_checks(tables):
     assert ok
 
 
-def test_criterion_5_sweep_full_and_proxy(matrix_set, tables, tmp_path):
+def test_criterion_5_sweep_full_and_proxy(matrix_set, tables):
     t0 = time.time()
     proxy = vf.sweep_610(matrix_set, tables[6], tables[10], stride=100)
     proxy_elapsed = time.time() - t0
     assert proxy.passed and proxy.counters["hits"] == 0
+    assert proxy.counters["targets_per_matrix"] == 34560
+    assert proxy.counters["subset_size"] == 32
     assert proxy_elapsed < 600  # the CI-scale budget
 
-    ck = tmp_path / "ck"
-    full = vf.sweep_610(matrix_set, tables[6], tables[10],
-                        checkpoint_dir=str(ck))
+    full = vf.sweep_610(matrix_set, tables[6], tables[10])
     assert full.passed
     assert full.counters["hits"] == 0
     assert full.counters["matrices"] == len(matrix_set)
     assert full.counters["targets_per_matrix"] == 34560
     assert full.counters["subset_size"] == 32
-    resumed = vf.sweep_610(matrix_set, tables[6], tables[10],
-                           checkpoint_dir=str(ck))
-    assert resumed.counters["resumed_shards"] == resumed.counters["shards"]
     _line("5 (type (6,10) sweep)", True,
           f"full {full.counters['matrices']} matrices, 0 hits, "
-          f"proxy {proxy.counters['matrices']} in {proxy_elapsed:.1f}s, resumable")
+          f"proxy {proxy.counters['matrices']} in {proxy_elapsed:.1f}s")
 
 
 def test_criterion_6_witness_lower_bound():

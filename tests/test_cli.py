@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -80,12 +82,15 @@ def test_verify_29_and_310(capsys, cached_tables):
 
 def test_verify_610_sweeps_every_matrix(capsys, monkeypatch, cached_tables,
                                          matrix_set, tmp_path):
-    # the matrix_set fixture (fn_10's orbit) stands in for the derived set
+    # the matrix_set fixture (fn_10's orbit) stands in for the derived set;
+    # the sweep writes no file
     monkeypatch.setattr(verify, "fn10_matrix_set", lambda: matrix_set)
-    code, out, _ = run(capsys, "--checkpoint-dir", str(tmp_path / "ck"),
-                       "verify", "--stage", "610")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    code, out, _ = run(capsys, "verify", "--stage", "610")
     assert code == 0 and "hits=0" in out
     assert "matrices=130844 " in out
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_verify_reads_no_table_file(capsys, monkeypatch, tmp_path, tables):
@@ -104,12 +109,30 @@ def test_verify_reads_no_table_file(capsys, monkeypatch, tmp_path, tables):
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_verify_all_refuses_a_replayed_sweep(capsys, cached_tables, tmp_path):
-    code, out, err = run(capsys, "--checkpoint-dir", str(tmp_path / "ck"),
-                         "verify", "--stage", "all")
-    assert code == 2
-    assert "conclusion:" not in out
-    assert "--checkpoint-dir applies to --stage 610 only" in err
+def test_checkpoint_dir_refused(capsys, monkeypatch, tables, matrix_set, tmp_path):
+    # a sweep checkpoint with every shard at zero matrices and no hits, keyed
+    # by the real inputs, must not stand in for the sweep: the option is gone
+    inputs = {"matrix_set": verify.matrixset_digest(matrix_set),
+              "t6": verify.table_digest(tables[6]),
+              "t10": verify.table_digest(tables[10]), "stride": 1}
+    size, step = len(matrix_set), verify.SWEEP_SHARD_SIZE
+    shards = {f"{s}:{min(s + step, size)}": {"matrices": 0, "hits": []}
+              for s in range(0, size, step)}
+    (tmp_path / "sweep610.json").write_text(json.dumps({"inputs": inputs,
+                                                        "shards": shards}))
+
+    def no_table(index):
+        raise AssertionError("a refused command builds no table")
+
+    monkeypatch.setattr(cli, "_table", no_table)
+    for stage in ("610", "all"):
+        try:
+            code = main(["--checkpoint-dir", str(tmp_path), "verify", "--stage", stage])
+        except SystemExit as exc:  # argparse rejects an unknown option
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "[pass]" not in out and "conclusion:" not in out
 
 
 def test_workers_below_one_refused(capsys, monkeypatch):

@@ -192,37 +192,6 @@ def test_sweep_projection_covariance(matrix_set, tables, rng):
         assert nl_r_recursive(moved_base + ms.function(int(w)), 2) == 6
 
 
-def test_sweep_proxy_and_checkpoint(matrix_set, tables, tmp_path):
-    ck = tmp_path / "ck"
-    v1 = vf.sweep_610(matrix_set, tables[6], tables[10], stride=100,
-                      checkpoint_dir=str(ck))
-    assert v1.passed
-    assert v1.counters["hits"] == 0
-    assert v1.counters["targets_per_matrix"] == 34560
-    assert v1.counters["subset_size"] == 32
-    v2 = vf.sweep_610(matrix_set, tables[6], tables[10], stride=100,
-                      checkpoint_dir=str(ck))
-    assert v2.counters["resumed_shards"] == v2.counters["shards"]
-    assert v2.counters["matrices"] == v1.counters["matrices"]
-
-
-def test_sweep_partial_checkpoint_resume(matrix_set, tables, tmp_path):
-    ck = tmp_path / "ck"
-    full = vf.sweep_610(matrix_set, tables[6], tables[10], stride=400,
-                        checkpoint_dir=str(ck), shard_size=64)
-    # drop the second half of the shard records and resume
-    state_file = ck / "sweep610.json"
-    state = json.loads(state_file.read_text())
-    kept = dict(list(state["shards"].items())[:2])
-    state["shards"] = kept
-    state_file.write_text(json.dumps(state))
-    resumed = vf.sweep_610(matrix_set, tables[6], tables[10], stride=400,
-                           checkpoint_dir=str(ck), shard_size=64)
-    assert resumed.counters["matrices"] == full.counters["matrices"]
-    assert resumed.counters["resumed_shards"] == 2
-    assert resumed.passed
-
-
 def test_sweep_worker_equivalence(matrix_set, tables):
     a = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64)
     b = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64,
@@ -247,7 +216,7 @@ def test_sweep_worker_equivalence(matrix_set, tables):
     assert a.counters == b.counters and a.counters["hits"] >= 2
 
 
-def test_sweep_pool_is_bounded_by_pending_shards(matrix_set, tables, tmp_path, monkeypatch):
+def test_sweep_pool_is_bounded_by_pending_shards(matrix_set, tables, monkeypatch):
     # a stand-in executor records the pool size it is asked for and maps in
     # process, so no worker process starts
     import concurrent.futures
@@ -266,16 +235,12 @@ def test_sweep_pool_is_bounded_by_pending_shards(matrix_set, tables, tmp_path, m
             return False
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    ck = str(tmp_path / "ck")
     sweep = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64,
-                         checkpoint_dir=ck, workers=1000)
+                         workers=1000)
     assert sweep.passed and sweep.counters["shards"] == 5 and sizes == [5]
     vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64, workers=2)
     assert sizes == [5, 2]
-    # a checkpoint with every shard done, and a single shard: no pool
-    resumed = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64,
-                           checkpoint_dir=ck, workers=1000)
-    assert resumed.counters["resumed_shards"] == 5
+    # a single shard: no pool
     single = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, workers=1000)
     assert single.counters["shards"] == 1 and single.passed
     assert sizes == [5, 2]
@@ -299,7 +264,7 @@ def test_sweep_detects_planted_hit(tables):
         assert v.counterexample is not None
 
 
-def test_sweep_matches_per_matrix_reference(matrix_set, tables, tmp_path):
+def test_sweep_matches_per_matrix_reference(matrix_set, tables):
     # reference: the 32 images T_3(s(A^-1 x)) of each matrix, one matrix at a
     # time, then a plain loop over its 31 shifts in order, on a planted target
     # table
@@ -336,27 +301,21 @@ def test_sweep_matches_per_matrix_reference(matrix_set, tables, tmp_path):
               for a in range(shard) for b in range(a + 1, shard)]
     assert max(shared) > 0  # the first shard has matrices that share a pivot
 
-    ck = tmp_path / "ck"
-    v = vf.sweep_610(MatrixSet(keys), tables[6], fake, shard_size=shard,
-                     checkpoint_dir=str(ck))
+    v = vf.sweep_610(MatrixSet(keys), tables[6], fake, shard_size=shard)
     assert v.outcome == "fail"
     assert v.counterexample == expected[0]
     assert v.counters == {"matrices": 48, "targets_per_matrix": targets.size,
                           "subset_size": 32, "hits": len(expected), "shards": 3,
                           "resumed_shards": 0}
-    inputs = {"matrix_set": vf.matrixset_digest(MatrixSet(keys)),
-              "t6": vf.table_digest(tables[6]), "t10": vf.table_digest(fake),
-              "stride": 1}
-    shards = {}
-    for s in range(0, 48, shard):
-        sk = {int(k) for k in keys[s:s + shard]}
-        shards[f"{s}:{s + shard}"] = {
-            "matrices": shard, "hits": [list(h) for h in expected if h[0] in sk]}
-    assert (ck / "sweep610.json").read_text() == json.dumps(
-        {"inputs": inputs, "shards": shards})
+    # each shard's hits, in order, against the reference
+    base = tables[6].level_set(6)
+    per_shard = [vf._sweep_shard(keys[s:s + shard], base, targets, allowed)
+                 for s in range(0, 48, shard)]
+    assert [nmat for nmat, _ in per_shard] == [shard] * 3
+    assert [h for _, shard_hits in per_shard for h in shard_hits] == expected
 
 
-def test_sweep_prefix_reuse(tmp_path):
+def test_sweep_prefix_reuse():
     # Planted base and target tables for matrices whose filter sequences
     # share prefixes, so that a stale level of the prefix stack or a wrong
     # common-prefix length shows as a false or a lost hit.  The base words are
@@ -401,7 +360,7 @@ def test_sweep_prefix_reuse(tmp_path):
         alive = targets
         for x in w[1:] ^ w[0]:
             alive = alive[allowed[alive ^ x]]
-        expected += [[int(key), int(t), int(w[0] ^ t)] for t in alive]
+        expected += [(int(key), int(t), int(w[0] ^ t)) for t in alive]
 
     # the planted shapes: equal shift sets (common prefix 31), shift sets
     # that differ in one word, and a shared prefix that is empty from level 1
@@ -417,13 +376,15 @@ def test_sweep_prefix_reuse(tmp_path):
     assert {h[0] for h in expected} == {int(keys[0]), int(keys[1])}
 
     for shard in (4, vf.SWEEP_SHARD_SIZE):
-        ck = tmp_path / f"ck{shard}"
         v = vf.sweep_610(MatrixSet(keys), t6, NlTable(fn_rep(10), 3, values),
-                         shard_size=shard, checkpoint_dir=str(ck))
-        state = json.loads((ck / "sweep610.json").read_text())
-        assert [h for s in state["shards"].values() for h in s["hits"]] == expected
-        assert v.counterexample == tuple(expected[0])
-        assert v.counters["hits"] == len(expected)
+                         shard_size=shard)
+        hits = [h for s in range(0, len(keys), shard)
+                for h in vf._sweep_shard(keys[s:s + shard], base, targets, allowed)[1]]
+        assert hits == expected
+        assert v.counterexample == expected[0]
+        assert v.counters == {"matrices": 7, "targets_per_matrix": targets.size,
+                              "subset_size": 32, "hits": len(expected),
+                              "shards": 2 if shard == 4 else 1, "resumed_shards": 0}
 
 
 # ---------------------------------------------------------------------------
