@@ -264,14 +264,20 @@ def cmd_agl(args, cmdline: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _global_options() -> argparse.ArgumentParser:
+    g = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    g.add_argument("--workers", type=int, default=1,
+                   help="worker processes for the type-(6,10) sweep")
+    g.add_argument("--out", default=None, help="also write the result to this file")
+    return g
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rmcover",
         description="Covering-radius machinery for third-order Reed-Muller codes",
+        parents=[_global_options()],
     )
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for the type-(6,10) sweep")
-    p.add_argument("--out", default=None, help="also write the result to this file")
     sub = p.add_subparsers(dest="command", required=True)
 
     nl_p = sub.add_parser("nl", help="evaluate nl_r of a function")
@@ -303,6 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    # argparse would take an unknown global option's value for the command
+    # and name that value; -h, prefixes of --help and malformed known
+    # options are left to the full parser
+    try:
+        rest = _global_options().parse_known_args(argv)[1]
+    except argparse.ArgumentError:
+        rest = []
+    if rest and rest[0].startswith("-") and rest[0] != "-h" and not "--help".startswith(rest[0]):
+        parser.error(f"unrecognized arguments: {rest[0]}")
     args = parser.parse_args(argv)
     cmdline = "rmcover " + shlex.join(argv)
     handlers = {

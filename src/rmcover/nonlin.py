@@ -17,10 +17,12 @@ Everything heavy is dense BLAS work.  Order-1 spectra are float32 GEMMs with
 the Sylvester-Hadamard matrix; for the degree-3 tables one GEMM per block of
 half-words u covers every quadratic word w.  The two half-tables combine by
 a min-plus XOR convolution, evaluated as a threshold convolution in the
-Walsh domain with float64 GEMMs (a direct broadcast minimum for rows of
-width <= 64).  A full (n=6, r=3) table (2^20 entries) builds in 0.3-0.8 s on
-a shared 2-core Xeon VM in its slow state (Python 3.11.7, numpy 2.4.6,
-OpenBLAS 0.3.31).
+Walsh domain (float32 forward and float64 inverse GEMMs) that tests only the
+candidate sums below an attained upper bound; rows of width <= 64 take a
+direct broadcast minimum.  A full (n=6, r=3) table (2^20 entries) builds in
+0.19-0.23 s (median of 20 random bases, three runs; 0.43-0.49 s before the
+bound) on a shared 2-core Xeon VM (Python 3.11.7, numpy 2.4.6, OpenBLAS
+0.3.31).
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ __all__ = [
     "nl_table_values",
     "CoveringVerdict",
     "check_covering_condition",
-    "ParityVerdict",
-    "parity_check",
     "transform_words",
     "TABLE_WORD_CAP",
     "BRUTE_FORCE_DIM_CAP",
@@ -204,54 +204,78 @@ def _minplus_rows(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     if width <= 64:
         xi = _xor_index(width.bit_length() - 1)
         return (n1[:, None, :] + n2[:, xi]).min(axis=2)
-    out = np.empty((rows, width), dtype=np.uint8)
-    block = 16  # keeps a block's float64 transforms (~1 MB each) in cache
+    lo1, lo2 = n1.min(axis=1, keepdims=True), n2.min(axis=1, keepdims=True)
+    a, b = n1 - lo1, n2 - lo2
+    block = 16  # keeps a block's float transforms (<= 1 MB each) in cache
+    span = np.arange(width)
+    tops = np.empty(rows, dtype=np.uint8)
     for s in range(0, rows, block):
-        out[s:s + block] = _minplus_walsh(n1[s:s + block], n2[s:s + block])
-    return out
+        # the largest bound of each row (see _minplus_walsh)
+        x, y = a[s:s + block], b[s:s + block]
+        tops[s:s + block] = np.minimum(
+            np.take_along_axis(y, x.argmin(axis=1)[:, None] ^ span, axis=1),
+            np.take_along_axis(x, y.argmin(axis=1)[:, None] ^ span, axis=1)).max(axis=1)
+    # a block of rows with equal bounds tests the fewest candidate sums
+    order = np.argsort(tops, kind="stable")
+    c = np.empty_like(a)
+    for s in range(0, rows, block):
+        o = order[s:s + block]
+        c[o] = _minplus_walsh(a[o], b[o], int(tops[o].max()))
+    c += lo1
+    c += lo2
+    return c
 
 
-def _minplus_walsh(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    """Threshold form of the min-plus XOR convolution.
+def _minplus_walsh(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
+    """C_off[u, v] = min_w a[u, w] + b[u, w ^ v], given top >= every C_off.
 
-    With offsets a = n1 - min(row), b = n2 - min(row), C[u, v] - the two
-    row minima is the least s with sum_x (A_x * B_{<=s-x})[v] > 0, where
-    A_x = [a = x], B_{<=t} = [b <= t] and * is XOR convolution.  Only sums
-    of attained offsets are candidates.  The convolutions are products of
-    Walsh transforms, each a pair of GEMMs with the Kronecker factors of
-    H_width = H_P (x) H_Q on a [level, i, row, j] layout (word = i*Q + j).
-    The A_x have disjoint supports, so every Walsh-domain sum is at most
-    width^2 and every partial sum of the inverse transform at most
-    width^3 = 2^30 for width 1024: float64 (exact below 2^53) is exact.
+    Threshold form: with a and b offsets (every row's minimum is 0), C_off[v]
+    is the least s with sum_x (A_x * B_{<=s-x})[v] > 0, where A_x = [a = x],
+    B_{<=t} = [b <= t] and * is XOR convolution.  Only sums of attained
+    offsets are candidates.
+
+    The bound: with w1 a zero of a and w2 a zero of b, bound[v] =
+    min(b(w1 ^ v), a(w2 ^ v)) is an attained sum a(w) + b(w ^ v), so C_off
+    <= bound; `_minplus_rows` passes the block's largest bound as top.  If
+    C_off[v] < top, it is an attained candidate below top and so the first
+    hit among them; otherwise C_off[v] = top.  Only the candidates below
+    top are tested, only the levels up to the largest of them are
+    transformed, and top = 0 needs no transform.
+
+    The convolutions are products of Walsh transforms, each a pair of GEMMs
+    with the Kronecker factors of H_width = H_P (x) H_Q on a [level, i, row,
+    j] layout (word = i*Q + j).  Forward transforms are at most width, and
+    as the A_x have disjoint supports every Walsh-domain sum is at most
+    width^2, so they are exact in float32 up to width 2^12 (float64 beyond).
+    Every partial sum of the inverse transform is at most width^3 (2^30 for
+    width 1024), so the float64 inverse is exact.
     """
-    rows, width = n1.shape
+    if not top:
+        return np.zeros_like(a)
+    rows, width = a.shape
     m = width.bit_length() - 1
-    hp, hq = _sylvester(m // 2, np.float64), _sylvester(m - m // 2, np.float64)
-    p, q = hp.shape[0], hq.shape[0]
+    p, q = 1 << m // 2, 1 << m - m // 2
 
     def wht(x):
+        hp, hq = (_sylvester(k, x.dtype.type) for k in (m // 2, m - m // 2))
         y = np.matmul(hp, x.reshape(-1, p, rows * q)).reshape(-1, q) @ hq
         return y.reshape(x.shape)
 
-    lo1, lo2 = n1.min(axis=1), n2.min(axis=1)
-    d1 = (n1 - lo1[:, None]).reshape(rows, p, q).transpose(1, 0, 2)
-    d2 = (n2 - lo2[:, None]).reshape(rows, p, q).transpose(1, 0, 2)
-    lv1 = np.unique(d1).astype(np.intp)
-    lv2 = np.unique(d2).astype(np.intp)
-    fa = wht((d1 == lv1[:, None, None, None]).astype(np.float64))
-    fb = wht((d2 <= lv2[:, None, None, None]).astype(np.float64))
-    # at the largest candidate every v qualifies, so it needs no transform
-    sums = np.unique(lv1[:, None] + lv2[None, :])
-    acc = np.zeros((sums.shape[0] - 1, p, rows, q))
-    for i, s in enumerate(sums[:-1]):
-        for k, x in enumerate(lv1):
-            t = np.searchsorted(lv2, s - x, side="right") - 1
-            if t >= 0:
-                acc[i] += fa[k] * fb[t]
+    has1, has2 = (np.bincount(d.ravel(), minlength=top)[:top] > 0 for d in (a, b))
+    sums = np.flatnonzero(np.convolve(has1, has2)[:top])
+    lv1, lv2 = (np.flatnonzero(h[:sums[-1] + 1]) for h in (has1, has2))
+    fwd = np.float32 if width <= 1 << 12 else np.float64
+    d1 = a.reshape(rows, p, q).transpose(1, 0, 2)
+    d2 = b.reshape(rows, p, q).transpose(1, 0, 2)
+    fa = wht((d1 == lv1[:, None, None, None]).astype(fwd))
+    fb = wht((d2 <= lv2[:, None, None, None]).astype(fwd))
+    acc = np.zeros((sums.shape[0], p, rows, q), dtype=fwd)
+    for i, s in enumerate(sums):
+        for k, x in enumerate(lv1[lv1 <= s]):
+            acc[i] += fa[k] * fb[np.searchsorted(lv2, s - x, side="right") - 1]
     # a hit at one candidate stays a hit at every larger one
-    first = (wht(acc) <= 0).sum(axis=0)
-    c = sums[first] + lo1[None, :, None] + lo2[None, :, None]
-    return c.transpose(1, 0, 2).reshape(rows, width)
+    first = (wht(acc.astype(np.float64)) <= 0).sum(axis=0)
+    return np.append(sums, top)[first].transpose(1, 0, 2).reshape(rows, width)
 
 
 def _scatter(c: np.ndarray, n: int, r: int) -> np.ndarray:
@@ -505,7 +529,7 @@ def build_nl_table(base: BooleanFunction, r: int) -> NlTable:
 
 
 # ---------------------------------------------------------------------------
-# Covering condition and parity rule
+# Covering condition
 # ---------------------------------------------------------------------------
 
 
@@ -533,26 +557,6 @@ def check_covering_condition(t1: NlTable, t2: NlTable, t: int) -> CoveringVerdic
         return CoveringVerdict(True)
     g = bad[np.argmin(v1[bad])]
     return CoveringVerdict(False, int(v1[g]), int(g))
-
-
-@dataclass(frozen=True)
-class ParityVerdict:
-    ok: bool
-    nl_whole: int
-    nl_low: int
-    nl_high: int
-
-
-def parity_check(f: BooleanFunction, r: int) -> ParityVerdict:
-    """When nl_r(f) is odd, exactly one of nl_r(f1), nl_r(f2) must be odd."""
-    if not 1 <= r <= f.n - 2:
-        raise ValueError(f"parity rule needs 1 <= r <= n-2, got r={r}")
-    f1, f2 = split(f)
-    total = nl_r(f, r)
-    a = nl_r(f1, r)
-    b = nl_r(f2, r)
-    ok = total % 2 == 0 or (a + b) % 2 == 1
-    return ParityVerdict(ok, total, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ specified produces (130844), a traversal-order fingerprint that survives an
 extensive variant search.  Everything else reproduces exactly.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -183,11 +184,13 @@ def test_criterion_8_oracle_equivalence():
 def test_criterion_9_covering_condition_harness():
     rng = np.random.default_rng(99)
     mismatches = 0
+    digests = []
     for _ in range(50):
         f1 = BooleanFunction.from_tt(6, int(rng.integers(0, 1 << 63)))
         f2 = BooleanFunction.from_tt(6, int(rng.integers(0, 1 << 63)))
         t1 = nl.build_nl_table(f1, 3)
         t2 = nl.build_nl_table(f2, 3)
+        digests += [hashlib.sha256(t.values.tobytes()).hexdigest() for t in (t1, t2)]
         # definition chase: nl_3(f1||f2) is the min over shared shifts of the
         # summed half levels (identically what the split recursion computes)
         direct = int((t1.values.astype(np.uint16) + t2.values).min())
@@ -198,6 +201,10 @@ def test_criterion_9_covering_condition_harness():
     _line("9 (covering-condition harness)", mismatches == 0,
           f"50 pairs x 3 thresholds, {mismatches} mismatches")
     assert mismatches == 0
+    # the bytes of the 100 tables: the sha256 of their digests, one per line
+    joined = "".join(d + "\n" for d in digests).encode()
+    assert hashlib.sha256(joined).hexdigest() == \
+        "98b90be74c52538438921df8488007a685f26c13d9ee480d8fdbcb63ff1735fd"
 
 
 def test_criterion_10_group_generators():

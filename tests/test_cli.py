@@ -130,9 +130,10 @@ def test_checkpoint_dir_refused(capsys, monkeypatch, tables, matrix_set, tmp_pat
             code = main(["--checkpoint-dir", str(tmp_path), "verify", "--stage", stage])
         except SystemExit as exc:  # argparse rejects an unknown option
             code = exc.code
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert code == 2
         assert "[pass]" not in out and "conclusion:" not in out
+        assert "--checkpoint-dir" in err
 
 
 def test_workers_below_one_refused(capsys, monkeypatch):

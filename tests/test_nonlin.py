@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +150,28 @@ def test_table_parity_patterns(tables):
         assert all(k % 2 == 1 for k in tables[i].level_counts())
 
 
+# sha256 of values.tobytes() for fn_0 .. fn_10: every change to a table
+# kernel must leave these bytes as they are
+CLASS_TABLE_SHA256 = [
+    "567b980fdf7310872596f5d4d9f9cef184e3f70487e618d5ab1baaa0f2051fb9",
+    "9c055ef6a481f22f8d5ae63e680c555c8b6a4ea2ab7a6e3ab5259e0db2255a0d",
+    "28305fd1cb1af6b5180d9e957be956786e2ea9738ace1e9fca947c2330865afd",
+    "f23c25834229185370662d970b53aff661afb7ec9d08eebee04b96c7c07c6759",
+    "89da543c82724605ce340399c05ad80d21354ddc443c7d88166ff3491bfe5172",
+    "9a3559f03b27a3de6eeb280ebf8152be45a9b914c654239996f453e6b74e706c",
+    "38517efd34042bd17ee330188dff891ef8790c3c4981428e24e47a7bd8531961",
+    "e18faab14af8b1c01b916dbc15edefe08222953725b1fef6a997244302c4615a",
+    "91197a0c7de4f778d122732c896375b3ff5468282f24225f3498bc8301892ced",
+    "4fc0bf49ba59d373183871a6a197183e3d9ec0d44bb2eb8a0d7dfaafaff8e080",
+    "8fb716e0ad3b05d5eebbc92f40764d0038c4a1fda82cf3a48b2d1c798c874e5e",
+]
+
+
+def test_class_table_bytes(tables):
+    got = [hashlib.sha256(tables[i].values.tobytes()).hexdigest() for i in range(11)]
+    assert got == CLASS_TABLE_SHA256
+
+
 def test_level_set_objects(tables):
     t = tables[6]
     words = t.level_set(6)
@@ -216,6 +241,52 @@ def test_minplus_rows_matches_definition(rng, width):
     n1, n2 = (np.repeat(rng.integers(0, 13, size=(rows, 1)), width, axis=1).astype(np.uint8)
               for _ in range(2))
     assert np.array_equal(nl._minplus_rows(n1, n2), _minplus_definition(n1, n2))
+
+    # one zero and a few low entries per row, the rest at 12: the bound at the
+    # row minima reads 12 where low entries pair up to far less
+    n1, n2 = np.full((2, rows, width), 12, dtype=np.uint8)
+    for n in (n1, n2):
+        for row in n:
+            spots = rng.choice(width, size=5, replace=False)
+            row[spots] = [0, *rng.integers(1, 6, size=spots.size - 1)]
+    want = _minplus_definition(n1, n2)
+    assert (_attained_bound(n1, n2) - want).max() >= 8
+    assert np.array_equal(nl._minplus_rows(n1, n2), want)
+
+    # 24 rows whose bound is 0 everywhere, so at least one block with no
+    # transform: n1 constant, or n1 zero off w & 3 == 3 and n2 zero on it
+    n1 = rng.integers(1, 13, size=(rows, width)).astype(np.uint8)
+    n2 = rng.integers(1, 13, size=(rows, width)).astype(np.uint8)
+    n1[:12] = rng.integers(0, 13, size=(12, 1))
+    n2[:12] = rng.integers(0, 13, size=(12, width))
+    on = np.arange(width) & 3 == 3
+    n1[12:24, ~on] = 0
+    n2[12:24, on] = 0
+    n2[12:24, 0] = 0
+    n1[24:] -= 1
+    n2[24:] -= 1
+    bound = _attained_bound(n1, n2) - n1.min(axis=1, keepdims=True) - n2.min(axis=1, keepdims=True)
+    assert not bound[:24].any() and bound[24:].any(axis=1).all()
+    assert np.array_equal(nl._minplus_rows(n1, n2), _minplus_definition(n1, n2))
+
+    # every level 0..12 in every row, low ones rare: many candidate sums
+    skew = 2.0 ** np.arange(13)
+    n1, n2 = (rng.choice(13, size=(rows, width), p=skew / skew.sum()).astype(np.uint8)
+              for _ in range(2))
+    for n in (n1, n2):
+        for row in n:
+            row[rng.permutation(width)[:13]] = np.arange(13)[:width]
+    assert np.array_equal(nl._minplus_rows(n1, n2), _minplus_definition(n1, n2))
+
+
+def _attained_bound(n1, n2):
+    """min(n1(w1) + n2(w1 ^ v), n1(w2 ^ v) + n2(w2)) at the first row minima."""
+    rows, width = n1.shape
+    r = np.arange(rows)[:, None]
+    w1, w2 = n1.argmin(axis=1)[:, None], n2.argmin(axis=1)[:, None]
+    v = np.arange(width)
+    return np.minimum(n1[r, w1].astype(np.int64) + n2[r, w1 ^ v],
+                      n1[r, w2 ^ v].astype(np.int64) + n2[r, w2])
 
 
 def test_nlt_round_trip(tmp_path, tables):
@@ -326,9 +397,29 @@ def test_covering_rejects_mismatched_tables(tables):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ParityVerdict:
+    ok: bool
+    nl_whole: int
+    nl_low: int
+    nl_high: int
+
+
+def parity_check(f: BooleanFunction, r: int) -> ParityVerdict:
+    """When nl_r(f) is odd, exactly one of nl_r(f1), nl_r(f2) must be odd."""
+    if not 1 <= r <= f.n - 2:
+        raise ValueError(f"parity rule needs 1 <= r <= n-2, got r={r}")
+    f1, f2 = split(f)
+    total = nl.nl_r(f, r)
+    a = nl.nl_r(f1, r)
+    b = nl.nl_r(f2, r)
+    ok = total % 2 == 0 or (a + b) % 2 == 1
+    return ParityVerdict(ok, total, a, b)
+
+
 def test_parity_example():
     f = concat(fn_rep(2), fn_rep(9))
-    v = nl.parity_check(f, 2)
+    v = parity_check(f, 2)
     assert v.ok
     assert (v.nl_low, v.nl_high) == (6, 7)
 
@@ -336,14 +427,14 @@ def test_parity_example():
 def test_parity_equal_halves(rng):
     for _ in range(10):
         h = BooleanFunction.from_tt(4, int(rng.integers(0, 1 << 16)))
-        v = nl.parity_check(concat(h, h), 2)
+        v = parity_check(concat(h, h), 2)
         assert v.ok and v.nl_whole % 2 == 0
 
 
 def test_parity_random_small(rng):
     for _ in range(25):
         f = BooleanFunction.from_tt(5, int(rng.integers(0, 1 << 32)))
-        assert nl.parity_check(f, 2).ok
+        assert parity_check(f, 2).ok
 
 
 # ---------------------------------------------------------------------------
