@@ -13,6 +13,14 @@ transformations, exactly as the queue-based search records them: the search
 starts from (start coset, identity), expands FIFO with the generators in the
 given order, and on each first visit of a coset via (L o G) stores (L o G).A.
 Deduplicating those matrices yields the sweep set for the type-(6,10) check.
+
+A level is expanded in chunks of parents.  Each unvisited candidate of a
+chunk is packed as key << P | position (position = parent * len(gens) +
+generator, P bits wide) and the packed words are sorted once: the first word
+of each key's run is the key's earliest candidate, which claims it, and the
+claimed positions, sorted again, give the next level in FIFO order.  The
+matrix keys are merged the same way, by a sort and a mask of the first of
+each run of equal words.
 """
 
 from __future__ import annotations
@@ -169,13 +177,28 @@ class OrbitTranscript:
 
     def word_for(self, key: int) -> list[int]:
         """Generator indices whose left-to-right composition reaches `key`."""
-        pos_of = {int(k): i for i, k in enumerate(self.keys)}
+        hit = np.flatnonzero(self.keys == key)
+        if not hit.size:
+            raise KeyError(key)
         word: list[int] = []
-        pos = pos_of[key]
+        pos = int(hit[0])
         while pos != -1:
             word.append(int(self.gens[pos]))
             pos = int(self.parents[pos])
         return word[::-1]
+
+
+_CHUNK = 1 << 15  # parents expanded at once
+
+
+def _sorted_distinct(a: np.ndarray, shift: int = 0) -> np.ndarray:
+    """Sorted a, keeping the first element of each run of equal a >> shift."""
+    a = np.sort(a)
+    k = a >> shift
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(k[1:], k[:-1], out=keep[1:])
+    return a[keep]
 
 
 def bfs_orbit(start: int, gens: list[AffineMap],
@@ -195,6 +218,7 @@ def bfs_orbit(start: int, gens: list[AffineMap],
     tables = [_KEYS.action(g) for g in gens]
     grow_tabs = [xor_span(_rows_of(g), np.uint8) for g in gens]
     ngens = len(gens)
+    pos_bits = (_CHUNK * ngens - 1).bit_length()  # a chunk's candidate positions
     visited = np.zeros(1 << (KEY_BITS - 3), dtype=np.uint8)  # one bit per key
     half_mask = np.uint32((1 << (KEY_BITS // 2)) - 1)
     halfb = np.uint32(KEY_BITS // 2)
@@ -216,16 +240,21 @@ def bfs_orbit(start: int, gens: list[AffineMap],
         # Parents in chunks, in order: a coset is claimed by its first
         # candidate in the chunk where it first appears, as in one pass over
         # the level, while the temporaries stay a few MB.
-        for s in range(0, frontier_keys.size, 1 << 15):
-            fk = frontier_keys[s:s + (1 << 15)]
+        for s in range(0, frontier_keys.size, _CHUNK):
+            fk = frontier_keys[s:s + _CHUNK]
             lo_idx, hi_idx = fk & half_mask, fk >> halfb
             cand_keys = np.empty(fk.size * ngens, dtype=np.uint32)
             for gi, (lo, hi) in enumerate(tables):
                 cand_keys[gi::ngens] = lo[lo_idx] ^ hi[hi_idx]
             fresh_pos = np.flatnonzero((visited[cand_keys >> 3] >> (cand_keys & 7) & 1) == 0)
-            uniq, first = np.unique(cand_keys[fresh_pos], return_index=True)
+            # key << pos_bits | position: the first of each key's run is its
+            # earliest candidate, which claims it
+            claims = _sorted_distinct(
+                cand_keys[fresh_pos].astype(np.uint64) << pos_bits
+                | fresh_pos.astype(np.uint64), pos_bits)
+            uniq = claims >> pos_bits
             np.bitwise_or.at(visited, uniq >> 3, (1 << (uniq & 7)).astype(np.uint8))
-            claim_pos = np.sort(fresh_pos[first])
+            claim_pos = np.sort((claims & ((1 << pos_bits) - 1)).astype(np.intp))
             level_claims += claim_pos.size
 
             parent_idx = s + claim_pos // ngens
@@ -237,9 +266,9 @@ def bfs_orbit(start: int, gens: list[AffineMap],
                     sel = np.flatnonzero(gen_idx == gi)
                     new_A[sel] = grow_tabs[gi][frontier_A[parent_idx[sel]]]
                 level_A.append(new_A)
-                pending.append(np.unique(gf2_pack_rows(new_A)))
+                pending.append(gf2_pack_rows(new_A))
                 if sum(p.size for p in pending) > 1 << 17:
-                    matrices = np.unique(np.concatenate([matrices, *pending]))
+                    matrices = _sorted_distinct(np.concatenate([matrices, *pending]))
                     pending = []
             if transcript:
                 t_keys.append(level_keys[-1])
@@ -257,7 +286,7 @@ def bfs_orbit(start: int, gens: list[AffineMap],
 
     mset = None
     if collect_matrices:
-        matrices = np.unique(np.concatenate([matrices, *pending]))
+        matrices = _sorted_distinct(np.concatenate([matrices, *pending]))
         mset = MatrixSet(matrices) if matrices.size else None
     trans = None
     if transcript:

@@ -1,3 +1,6 @@
+import hashlib
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -86,10 +89,65 @@ def test_orbit_size_generator_independent(agl6_gens, rng):
     assert ob.bfs_orbit(start, conj, collect_matrices=False).orbit_size == 651
 
 
+# sha256 of the fn_10 walk's bytes.  Its levels are wider than one chunk of
+# parents, so these pin the claims across chunk boundaries too.
+FN10_SHA256 = {
+    "members": "2d766a744c067b4a12920a3ed74190f7677c1927eb409a634616f481f54a0934",
+    "keys": "f9020479a204c9b5101f3ce6f02c6a87660d6c4197183d06e905e5bfd8f5cb30",
+    "parents": "0b50dce48ba8e799710ae80f1da080d7e8eaa0d7a883777477ba7812905991d6",
+    "gens": "8e51602fa33e525c7d35bf9042124a3cb2ca288f0dde249541fb74b5d0f859bc",
+}
+
+
 def test_fn10_orbit(fn10_orbit):
     assert fn10_orbit.orbit_size == 888832
     # faithful queue search; the published run reports 130843 (see notes)
     assert len(fn10_orbit.matrix_set) in (130843, 130844)
+    tr = fn10_orbit.transcript
+    assert (tr.keys.dtype, tr.parents.dtype, tr.gens.dtype) == (np.uint32, np.int64, np.uint8)
+    arrays = {"members": fn10_orbit.matrix_set.members, "keys": tr.keys,
+              "parents": tr.parents, "gens": tr.gens}
+    got = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
+    assert got == FN10_SHA256
+
+
+def _fifo_orbit(start, gens):
+    """Scalar queue search seeded with (start, identity), no lookup tables.
+
+    Returns the claimed keys, their parents' claim indices (-1 for the seed)
+    and generator indices in claim order, and the sorted packed matrices.
+    """
+    queue = deque([(start, AffineMap.identity(6), -1)])
+    seen = set()
+    keys, parents, gis, mats = [], [], [], set()
+    while queue:
+        key, L, idx = queue.popleft()
+        for gi, g in enumerate(gens):
+            child = ob.coset_act(key, g)
+            if child in seen:
+                continue
+            seen.add(child)
+            M = compose(L, g)
+            queue.append((child, M, len(keys)))
+            keys.append(child)
+            parents.append(idx)
+            gis.append(gi)
+            mats.add(sum(e << (6 * i + j) for i, row in enumerate(M.A)
+                         for j, e in enumerate(row)))
+    return keys, parents, gis, sorted(mats)
+
+
+@pytest.mark.parametrize("index,length", [(1, 651), (3, 13888)])
+def test_bfs_orbit_matches_fifo_reference(agl6_gens, index, length):
+    start = ob.coset_key(fn_rep(index))
+    keys, parents, gis, mats = _fifo_orbit(start, agl6_gens)
+    assert len(keys) == length
+    res = ob.bfs_orbit(start, agl6_gens, transcript=True)
+    assert res.orbit_size == length
+    assert res.matrix_set.members.tolist() == mats
+    assert res.transcript.keys.tolist() == keys
+    assert res.transcript.parents.tolist() == parents
+    assert res.transcript.gens.tolist() == gis
 
 
 def test_orbit_elements_classify_to_class_10(fn10_orbit, rng):
@@ -108,6 +166,12 @@ def test_transcript_words_reach_their_cosets(fn10_orbit, agl6_gens):
         for gi in tr.word_for(key):
             cur = ob.coset_act(cur, agl6_gens[gi])
         assert cur == key
+
+
+def test_transcript_word_for_absent_key(fn10_orbit):
+    # key 0 is fn_0's coset, an orbit of its own
+    with pytest.raises(KeyError):
+        fn10_orbit.transcript.word_for(0)
 
 
 def test_matrix_set_members_invertible(matrix_set):
