@@ -19,19 +19,20 @@ import hashlib
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
 from .boolfn import (
     BooleanFunction,
-    MonomialSet,
     apply_affine,
     concat,
     degree,
     homogeneous_part,
     monomial_masks,
     split,
+    xor_span,
 )
 from .classify import (
     NUM_CLASSES,
@@ -43,7 +44,7 @@ from .classify import (
     rho_upper_bound,
     type_of,
 )
-from .field import AffineMap, SingularMatrixError, agl_generators, compose
+from .field import AffineMap, SingularMatrixError, agl_generators
 from .nonlin import NlTable, nl_r_recursive
 from .orbit import MatrixSet, bfs_orbit, coset_key, gf2_invert_rows, gf2_unpack_keys
 
@@ -241,31 +242,31 @@ def fn10_matrix_set() -> MatrixSet:
 
 def _image_words(matrix_keys: np.ndarray, base_words: np.ndarray) -> np.ndarray:
     """(len(base_words), nmat) array: the degree-3 coefficient word of
-    s(A^-1 x) for each base word s and each matrix A."""
-    nmat = matrix_keys.shape[0]
-    inv = gf2_invert_rows(gf2_unpack_keys(matrix_keys))
-    # point permutations x -> A^-1 x: subset-XOR doubling over the columns,
-    # column j as a point index with bit i = entry (i, j)
-    perm = np.zeros((nmat, 1), dtype=np.uint8)
-    for j in range(6):
-        col = sum(((inv[:, i] >> j) & 1) << i for i in range(6))
-        perm = np.concatenate([perm, perm ^ col[:, None]], axis=1)
+    s(A^-1 x) for each base word s and each matrix A.
 
-    ms = MonomialSet.of(6, 3)
-    word_tt = np.array([ms.function(int(w)).tt for w in base_words], dtype="<u8")
-    bits = np.unpackbits(word_tt.view(np.uint8).reshape(-1, 8), axis=1,
-                         bitorder="little")  # (words, 64): bit x of each truth table
-    # the truth tables of s(A^-1 x), point-major: byte k of anf[m, x] holds
-    # words 8k..8k+7 at x; then the Moebius transform along the point axis
-    anf = np.packbits(bits.T, axis=1, bitorder="little")[perm]  # (nmat, 64, bytes)
-    for d in range(6):
-        half = anf.reshape(nmat, 32 >> d, 2, -1)
-        half[:, :, 1] ^= half[:, :, 0]
-    # the 20 degree-3 coefficients of each word, packed into a 20-bit word
-    deg3 = np.unpackbits(anf[:, monomial_masks(6, 3)], axis=2, bitorder="little",
-                         count=base_words.size)  # (nmat, 20, words)
-    c = np.packbits(deg3, axis=1, bitorder="little").astype(np.uint32)
-    return (c[:, 0] | c[:, 1] << 8 | c[:, 2] << 16).T
+    Row a of A^-1 is a linear form l_a, so s(A^-1 x) replaces each cubic
+    monomial x_a x_b x_c of s by the product l_a l_b l_c.  Per matrix, the
+    truth table of l_a is an XOR of variable truth tables (one uint64 each);
+    the 20 cubic products are ANDs of three, and a six-stage Moebius
+    transform on each uint64 gives its ANF, whose 20 degree-3 coefficients
+    are the column of that monomial.  T_3 is linear, so the image of a base
+    word is the XOR of the columns of its set bits.
+    """
+    var = np.array([_variable_function(k).tt for k in range(1, 7)], dtype=np.uint64)
+    # (nmat, 6): the span of the variables, indexed by the row masks of A^-1
+    forms = xor_span(var, np.uint64)[gf2_invert_rows(gf2_unpack_keys(matrix_keys))]
+    cubics = monomial_masks(6, 3)
+    factors = [[a for a in range(6) if m >> a & 1] for m in cubics]
+    prods = np.bitwise_and.reduce(forms[:, factors], axis=2)  # (nmat, 20) truth tables
+    for d, v in enumerate(var):  # Moebius stage d: bit x into x + 2^d for x with bit d clear
+        prods ^= prods << np.uint64(1 << d) & v
+    cols = np.zeros(prods.shape, dtype=np.uint32)
+    for i, m in enumerate(cubics):
+        cols |= (prods >> np.uint64(m) & np.uint64(1)).astype(np.uint32) << i
+    out = np.zeros((base_words.size, matrix_keys.shape[0]), dtype=np.uint32)
+    for k, col in enumerate(cols.T):
+        out[base_words >> k & 1 != 0] ^= col
+    return out
 
 
 def _sweep_shard(matrix_keys: np.ndarray, base_words: np.ndarray,
@@ -284,15 +285,18 @@ def _sweep_shard(matrix_keys: np.ndarray, base_words: np.ndarray,
         words = _image_words(matrix_keys[s:s + 1024], base_words)
         first[s:s + 1024] = words[0]
         np.bitwise_xor(words[1:], words[0], out=shifts[:, s:s + 1024])
+    del words  # before np.unique, where the shard's memory peaks
     # rank the shard's distinct shift words by count descending, then word
     # ascending; each matrix's shifts in rank order are its path in a trie
     uniq, counts = np.unique(shifts, return_counts=True)
     by_rank = np.argsort(-counts, kind="stable")  # uniq is ascending
+    del counts
     rank = np.empty(uniq.size, dtype=np.int32)
     rank[by_rank] = np.arange(uniq.size, dtype=np.int32)
     ranks = np.empty(shifts.shape, dtype=np.int32)
-    for i in range(shifts.shape[0]):
-        ranks[i] = rank[np.searchsorted(uniq, shifts[i])]
+    for i in range(shifts.shape[0]):  # sorted needles keep the lookups cache-friendly
+        o = np.argsort(shifts[i])
+        ranks[i, o] = rank[np.searchsorted(uniq, shifts[i, o])]
     del shifts, rank
     ranks.sort(axis=0)
     walk = np.lexsort(ranks[::-1])
@@ -313,7 +317,7 @@ def _sweep_shard(matrix_keys: np.ndarray, base_words: np.ndarray,
         for x in paths[k, len(stack) - 1:]:
             if not alive.size:
                 break
-            alive = alive[allowed[alive ^ x]]
+            alive = np.compress(allowed.take(alive ^ x), alive)
             stack.append(alive)
         if alive.size:
             survivors[m] = alive
@@ -337,7 +341,10 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
     set T with its 31 shifts.  Each shard ranks its distinct shift words by
     how many of its matrices carry them (the smallest word first on a tie)
     and sorts every matrix's shifts by that rank, so matrices that share
-    their best-ranked shifts share a prefix of their filter sequence.
+    their best-ranked shifts share a prefix of their filter sequence.  The
+    ranks are looked up one shift row at a time by binary search over the
+    shard's sorted distinct words, with the row sorted first so that
+    successive searches touch neighbouring entries.
     Walking the matrices in lexicographic order of those sequences, each one
     takes the targets that survive the prefix it has in common with the
     previous matrix and filters only past it, stopping at the first empty
@@ -360,7 +367,7 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
     bottom = int(t6.values.min())
     base_words = t6.level_set(bottom)
     allowed = t10.values >= TARGET - bottom
-    targets = np.flatnonzero(allowed).astype(np.uint32)
+    targets = np.flatnonzero(allowed)
     selected = mset.members[::stride] if stride > 1 else mset.members
     inputs = {
         "matrix_set": matrixset_digest(mset),
@@ -426,19 +433,26 @@ def _random_cubic(rng: np.random.Generator) -> BooleanFunction:
     return BooleanFunction.from_anf(6, anf)
 
 
-def _normalize_translation(base: BooleanFunction, L):
-    """Compose L with a translation so that T_5(base o L') vanishes.
+@lru_cache(maxsize=None)
+def _translations() -> tuple[AffineMap, ...]:
+    """The 64 translations x -> x + c of GF(2)^6, in the order of c."""
+    ident = AffineMap.identity(6)
+    return tuple(AffineMap(2, 6, ident.A, tuple(c >> i & 1 for i in range(6)))
+                 for c in range(64))
+
+
+def _normalize_translation(base: BooleanFunction, L) -> BooleanFunction:
+    """base o (L o tau) for the first translation tau that makes T_5 vanish.
 
     Used for the degree-6 class representatives: the degree-5 residue of the
     full monomial's image is the point indicator away from the all-ones
-    point, and a translation moves it there.
+    point, and a translation moves it there.  base o (L o tau) =
+    (base o L) o tau, so L is applied once.
     """
-    for c in range(64):
-        tau = AffineMap(2, 6, tuple(tuple(1 if i == j else 0 for j in range(6))
-                                    for i in range(6)),
-                        tuple(c >> i & 1 for i in range(6)))
-        cand = compose(L, tau)
-        if homogeneous_part(apply_affine(base, cand), 5).anf == 0:
+    moved = apply_affine(base, L)
+    for tau in _translations():
+        cand = apply_affine(moved, tau)
+        if homogeneous_part(cand, 5).anf == 0:
             return cand
     raise RuntimeError("no translation kills the degree-5 residue")  # pragma: no cover
 
@@ -460,8 +474,7 @@ def case2_instance(pair: tuple[int, int], rng: np.random.Generator) -> BooleanFu
     i, j = pair
     base = fn_rep(j)
     while True:
-        L = _normalize_translation(base, random_affine_map(rng))
-        moved = apply_affine(base, L)
+        moved = _normalize_translation(base, random_affine_map(rng))
         if coset_key(moved) != coset_key(base):  # Case 2 demands a moved coset
             break
     return concat(fn_rep(i), moved + _random_cubic(rng))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -139,6 +140,18 @@ def test_reduction_preserves_nl3(rng):
             assert not check_covering_condition(tb1, tb2, after + 1).holds
 
 
+def test_reduction_instances_pinned():
+    # ten Case-2 instances per pair from seed 20, hashed truth table by truth
+    # table
+    rng = np.random.default_rng(20)
+    digest = hashlib.sha256()
+    for pair in ((2, 10), (2, 9), (3, 10)):
+        for _ in range(10):
+            digest.update(vf.case2_instance(pair, rng).tt.to_bytes(16, "little"))
+    assert digest.hexdigest() == (
+        "b16f6b2b593e5c22bd0dd6bcd54a9f43aa6ae183bb4ddda890e713898e3c6210")
+
+
 def test_reduction_rejects_wrong_shape():
     with pytest.raises(ValueError):
         vf.reduce_to_610(concat(fn_rep(2), fn_rep(3)))  # no degree-6 term
@@ -163,6 +176,22 @@ def _reference_images(keys, base):
     matrix at a time through transform_words."""
     return [transform_words(base, 6, 3, _affine_from_rows(rows).inverse())
             for rows in gf2_unpack_keys(keys)]
+
+
+def test_image_words_pinned(matrix_set, tables):
+    # the images of fn_6's bottom level set under every matrix of the set,
+    # in blocks of 4096 matrices, as <u4 bytes of the (32, 130844) array;
+    # and every 1000th matrix against the one-matrix-at-a-time reference
+    base = tables[6].level_set(6)
+    keys = matrix_set.members
+    words = np.concatenate([vf._image_words(keys[s:s + 4096], base)
+                            for s in range(0, keys.size, 4096)], axis=1)
+    assert words.shape == (32, 130844)
+    digest = hashlib.sha256(np.ascontiguousarray(words, dtype="<u4").tobytes())
+    assert digest.hexdigest() == (
+        "7822ca21157cdd60715ce3ab528ae9be06377cf06264a0e211b26d8e156771b4")
+    reference = _reference_images(keys[::1000], base)
+    assert np.array_equal(words[:, ::1000], np.array(reference).T)
 
 
 def test_identity_slice_from_tables_alone(tables):
