@@ -13,16 +13,18 @@ homogeneous degree-r coefficient word g (canonical monomial order).  Level
 sets F(k) = {g : value = k} of these tables are the objects the covering
 condition manipulates.
 
-Everything heavy is dense BLAS work.  Order-1 spectra are float32 GEMMs with
-the Sylvester-Hadamard matrix; for the degree-3 tables one GEMM per block of
-half-words u covers every quadratic word w.  The two half-tables combine by
-a min-plus XOR convolution, evaluated as a threshold convolution in the
-Walsh domain (float32 forward and float64 inverse GEMMs) that tests only the
-candidate sums below an attained upper bound; rows of width <= 64 take a
-direct broadcast minimum.  A full (n=6, r=3) table (2^20 entries) builds in
-0.19-0.23 s (median of 20 random bases, three runs; 0.43-0.49 s before the
-bound) on a shared 2-core Xeon VM (Python 3.11.7, numpy 2.4.6, OpenBLAS
-0.3.31).
+Order-1 spectra of the degree-2 tables are one float32 GEMM with the
+Sylvester-Hadamard matrix.  For the degree-3 tables each half splits once
+more along its top variable, so the order-1 values over every (u, w) pair
+are a max-plus XOR convolution of gathers from one cached uint8 table of
+|W| for every 4-variable function, with no GEMM.  The two half-tables
+combine by a min-plus XOR convolution, evaluated as a threshold convolution
+in the Walsh domain (float32 forward and float64 inverse GEMMs) that tests
+only the candidate sums below an attained upper bound; rows of width <= 64
+take a direct broadcast minimum.  A full (n=6, r=3) table (2^20 entries)
+builds in 0.12-0.13 s (median of 20 random bases, three runs; 0.17-0.19 s
+with the order-1 GEMMs, alternated) on a shared 2-core Xeon VM (Python
+3.11.7, numpy 2.4.6, OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -169,29 +171,63 @@ def _spread_tables(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return xor_span(u_bits, np.uint32), xor_span(v_bits, np.uint32)
 
 
-def _nl1_matrix(base_tt: int, ttu: np.ndarray, ttw: np.ndarray, n: int) -> np.ndarray:
-    """nl1(base + u + w) for all (u, w) word pairs, as a (U, W) uint8 matrix.
+@lru_cache(maxsize=None)
+def _abs_walsh(k: int) -> np.ndarray:
+    """T[a, g] = |W_g(a)| for every k-variable truth table g, read-only uint8.
 
-    For a block of u, the spectra of base + u + w over every w are one GEMM:
-    signs(w) @ [diag(signs(base + u)) H], stacked over the block.  Every
-    spectrum entry is an integer of absolute value at most 2^n <= 32, so
-    float32 is exact.
+    Built on first use by an int8 butterfly: every partial sum is at most
+    2^k in absolute value, and k <= 4 here (16 x 65,536 entries, 1 MB).
     """
-    size = 1 << n
-    sw = _signs(ttw, n)
-    su = _signs(np.uint64(base_tt) ^ ttu, n)
-    h = _sylvester(n, np.float32)
-    out = np.empty((su.shape[0], sw.shape[0]), dtype=np.uint8)
-    block = 16  # a (16 * 2^n, W) float32 spectra block: 2 MB at (6,3)
-    for s in range(0, su.shape[0], block):
-        # rows (a, u) of H[a, x] * signs(base + u)[x]; the max over a is then
-        # an elementwise maximum of contiguous (u, w) planes
-        m = (h[:, None, :] * su[s:s + block]).reshape(-1, size)
-        spectra = m @ sw.T
-        np.abs(spectra, out=spectra)
-        peak = spectra.reshape(size, -1, sw.shape[0]).max(axis=0)
-        out[s:s + block] = (size >> 1) - peak / 2
-    return out
+    size = 1 << k
+    g = np.arange(1 << size, dtype=np.uint32)
+    w = 1 - 2 * np.stack([(g >> x & 1).astype(np.int8) for x in range(size)])
+    h = 1
+    while h < size:
+        y = w.reshape(-1, 2, h, g.shape[0])
+        y[:, 0], y[:, 1] = y[:, 0] + y[:, 1], y[:, 0] - y[:, 1]
+        h <<= 1
+    table = np.abs(w).view(np.uint8)
+    table.setflags(write=False)
+    return table
+
+
+def _nl1_matrix(base_tt: int, ttu: np.ndarray, n: int) -> np.ndarray:
+    """nl1(base + u + w) for all u and every w in H_n^(2), as a (U, W) uint8 matrix.
+
+    Split f = base + u along x_n into f0 || f1, and w = w' + x_n * l with w'
+    quadratic in x_1..x_{n-1} (the low C(n-1, 2) bits of w) and l linear
+    (the high bits).  Then W_{f+w}(a, a_n) = W_{f0+w'}(a) + (-1)^{a_n}
+    W_{f1+w'}(a ^ l), and as max(|x + y|, |x - y|) = |x| + |y|,
+
+        nl1(f + w) = 2^(n-1) - max_a (|W_{f0+w'}(a)| + |W_{f1+w'}(a ^ l)|) / 2,
+
+    a max-plus XOR convolution over a of two gathers from `_abs_walsh`.  The
+    table cap keeps n <= 5, so each |W| is at most 16 and every uint8 sum
+    (at most 32) is exact.
+    """
+    k = n - 1
+    width = 1 << k  # the range of a
+    f = np.uint64(base_tt) ^ ttu
+    half = np.uint64((1 << width) - 1)
+    tw, table = _word_tts(k, 2), _abs_walsh(k)
+    # s1[a, u * W' + w'] = |W_{f0+w'}(a)|, s2 likewise for f1
+    s1, s2 = (table.take(((h & half)[:, None] ^ tw).ravel(), axis=1)
+              for h in (f, f >> np.uint64(width)))
+    if width <= 8:  # halves of the (4,3) and (5,3) tables: one broadcast maximum
+        peak = (s1[:, None] + s2[_xor_index(k)]).max(axis=0)
+    else:  # in place, over contiguous 64 KB planes at (6,3)
+        peak = np.empty_like(s1)
+        tmp = np.empty_like(s1[0])
+        for l in range(width):
+            np.add(s1[0], s2[l], out=peak[l])
+            for a in range(1, width):
+                np.add(s1[a], s2[a ^ l], out=tmp)
+                np.maximum(peak[l], tmp, out=peak[l])
+    del s1, s2  # 2 MB freed before the transposed copy
+    peak >>= 1
+    np.subtract(width, peak, out=peak)
+    # row l of (u, w') planes -> row u, column w' + (l << C(k, 2))
+    return peak.reshape(width, len(ttu), -1).transpose(1, 0, 2).reshape(len(ttu), -1)
 
 
 def _minplus_rows(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
@@ -305,8 +341,8 @@ def nl_table_values(f: BooleanFunction, r: int) -> np.ndarray:
         return _nl1_batch(np.uint64(f.tt) ^ _word_tts(n, 2), n)
     halves = split(f)
     if r == 3:
-        ttu, ttw = _word_tts(n - 1, 3), _word_tts(n - 1, 2)
-        n1, n2 = (_nl1_matrix(h.tt, ttu, ttw, n - 1) for h in halves)
+        ttu = _word_tts(n - 1, 3)
+        n1, n2 = (_nl1_matrix(h.tt, ttu, n - 1) for h in halves)
     else:
         ms_u = MonomialSet.of(n - 1, r)
         shifts = [ms_u.function(u) for u in range(1 << comb(n - 1, r))]

@@ -178,21 +178,52 @@ def test_level_set_objects(tables):
     assert len(words) == 32 and (t.values[words] == 6).all()
 
 
+def test_class_table_digest_sees_the_walsh_table(monkeypatch, tables):
+    # negative control for the byte gate: one row of the |W| table raised by
+    # 2 must change fn_6's table and so its pinned digest
+    raised = nl._abs_walsh(4).copy()
+    raised[5] += 2
+    monkeypatch.setattr(nl, "_abs_walsh", lambda k: raised)
+    forged = nl.build_nl_table(fn_rep(6), 3)
+    assert hashlib.sha256(forged.values.tobytes()).hexdigest() != CLASS_TABLE_SHA256[6]
+    assert forged.sha256() != tables[6].sha256()
+
+
 # ---------------------------------------------------------------------------
 # table kernels against their definitions
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_abs_walsh_table_matches_scalar_wht(rng, k):
+    table = nl._abs_walsh(k)
+    assert table.shape == (1 << k, 1 << (1 << k)) and table.dtype == np.uint8
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    # every function at k = 2, 3; 2,000 sampled at k = 4
+    gs = range(table.shape[1]) if k < 4 else rng.integers(0, 1 << 16, size=2000)
+    for g in gs:
+        assert table[:, g].tolist() == [abs(v) for v in nl._wht(int(g), k)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_nl1_matrix_matches_scalar_nl1(rng, n):
+    # arbitrary u and base (the split identity holds for any f = base + u)
+    # against every w of H_n^(2) in canonical order: all pairs up to n = 4,
+    # 400 sampled pairs at n = 5
     top = 1 << (1 << n)
     base = int(rng.integers(0, top))
-    ttu = rng.integers(0, top, size=40, dtype=np.uint64)  # several u blocks
-    ttw = rng.integers(0, top, size=24, dtype=np.uint64)
-    m = nl._nl1_matrix(base, ttu, ttw, n)
-    assert m.shape == (40, 24) and m.dtype == np.uint8
-    for u, w in zip(rng.integers(0, 40, size=200), rng.integers(0, 24, size=200)):
-        f = BooleanFunction.from_tt(n, base ^ int(ttu[u]) ^ int(ttw[w]))
+    ttu = rng.integers(0, top, size=40, dtype=np.uint64)
+    ms = MonomialSet.of(n, 2)
+    m = nl._nl1_matrix(base, ttu, n)
+    assert m.shape == (40, 1 << len(ms)) and m.dtype == np.uint8
+    if n < 5:
+        pairs = [(u, w) for u in range(40) for w in range(m.shape[1])]
+    else:
+        pairs = zip(rng.integers(0, 40, size=400), rng.integers(0, m.shape[1], size=400))
+    for u, w in pairs:
+        f = BooleanFunction.from_tt(n, base ^ int(ttu[u])) + ms.function(int(w))
         assert m[u, w] == nl.nl1(f)
 
 
