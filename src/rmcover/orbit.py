@@ -5,14 +5,30 @@ the 15 degree-4, 6 degree-5 and 1 degree-6 monomials of any representative,
 in canonical (ascending mask) monomial order, i.e. its word over the
 `MonomialSet` of those monomials.  The induced action of an affine map on
 keys is linear, so a generator acts through the set's two 2048-entry lookup
-tables (`MonomialSet.action`) and the breadth-first search over an orbit
-runs on flat numpy arrays.
+tables (`MonomialSet.action`) and the searches run on flat numpy arrays.
 
-The fn_10 run additionally accumulates the matrix parts of the accumulated
-transformations, exactly as the queue-based search records them: the search
-starts from (start coset, identity), expands FIFO with the generators in the
-given order, and on each first visit of a coset via (L o G) stores (L o G).A.
-Deduplicating those matrices yields the sweep set for the type-(6,10) check.
+Orbit lengths are walked over translation classes.  The translations
+x -> x + c form a normal subgroup of AGL(6,2), so every affine map sends a
+translation class of keys onto a translation class, and an orbit of AGL(6,2)
+is a union of whole classes.  A translation fixes the degree-4 bits of a
+key up to a vector that depends only on the degree->=5 bits (the key's
+pattern), so the pattern fixes the class's shape.  With the degree-6 bit set,
+the 64 translates have 64 distinct degree-5 parts and one of them has none;
+with the degree-6 bit clear and a degree-5 bit set, translations add the
+rank-5 image of a linear map to the degree-4 bits (32 keys); degree-4 keys
+are fixed (1 key).  That makes 32,768 + 64,512 + 32,768 = 130,048 classes.  Their shapes are derived
+from the translations' actions on the 128 patterns, not written down: a
+key's canonical class member is its translate of least pattern, reduced to
+the least key of that pattern's coset of translation vectors (a reduced
+row-echelon basis per pattern).  `orbit_lengths` walks canonical keys with
+one visited bit per key, shared by all its starts, and sums class sizes.
+
+The fn_10 run (`bfs_orbit`) walks single keys and accumulates the matrix
+parts of the accumulated transformations, exactly as the queue-based search
+records them: the search starts from (start coset, identity), expands FIFO
+with the generators in the given order, and on each first visit of a coset
+via (L o G) stores (L o G).A.  Deduplicating those matrices yields the sweep
+set for the type-(6,10) check.
 
 A level is expanded in chunks of parents.  Each unvisited candidate of a
 chunk is packed as key << P | position (position = parent * len(gens) +
@@ -26,6 +42,8 @@ each run of equal words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +59,9 @@ __all__ = [
     "coset_act",
     "OrbitResult",
     "bfs_orbit",
+    "canonical_keys",
+    "class_sizes",
+    "orbit_lengths",
     "all_orbit_lengths",
     "MatrixSet",
     "gf2_pack_rows",
@@ -50,6 +71,8 @@ __all__ = [
 
 _KEYS = MonomialSet(6, tuple(m for m in range(64) if m.bit_count() >= 4))
 KEY_BITS = len(_KEYS)
+_HALF_BITS = KEY_BITS // 2
+_HALF_MASK = np.uint32((1 << _HALF_BITS) - 1)
 _AMS_MAGIC = b"AMS1"
 
 
@@ -130,8 +153,15 @@ class MatrixSet:
         object.__setattr__(self, "members", m)
         if m.ndim != 1 or (m[1:] <= m[:-1]).any():
             raise ValueError("matrix keys must be strictly ascending")
-        for s in range(0, m.size, 1 << 14):  # raises on a singular member
-            gf2_invert_rows(gf2_unpack_keys(m[s:s + (1 << 14)]))
+        for s in range(0, m.size, 1 << 12):  # keeps the spans 256 KB
+            rows = gf2_unpack_keys(m[s:s + (1 << 12)])
+            # every row combination, indexed by its mask: invertible iff
+            # only the empty combination is zero
+            span = np.zeros((rows.shape[0], 64), dtype=np.uint8)
+            for i in range(6):
+                span[:, 1 << i:2 << i] = span[:, :1 << i] ^ rows[:, i:i + 1]
+            if not span[:, 1:].all():
+                raise ValueError("matrix set contains a singular matrix")
         m.setflags(write=False)
 
     def __len__(self) -> int:
@@ -159,7 +189,7 @@ class MatrixSet:
 @dataclass(frozen=True)
 class OrbitResult:
     orbit_size: int
-    matrix_set: MatrixSet | None
+    matrix_set: MatrixSet
     transcript: "OrbitTranscript | None"
 
 
@@ -201,8 +231,25 @@ def _sorted_distinct(a: np.ndarray, shift: int = 0) -> np.ndarray:
     return a[keep]
 
 
+def _act(table: tuple[np.ndarray, np.ndarray], keys: np.ndarray) -> np.ndarray:
+    lo, hi = table
+    return lo[keys & _HALF_MASK] ^ hi[keys >> _HALF_BITS]
+
+
+def _unvisited(visited: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    return (visited[keys >> 3] >> (keys & 7) & 1) == 0
+
+
+def _mark(visited: np.ndarray, keys: np.ndarray) -> None:
+    np.bitwise_or.at(visited, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
+
+
+def _check_gens(gens: list[AffineMap]) -> None:
+    if any(g.q != 2 or g.n != 6 for g in gens):
+        raise ValueError("orbit search needs AGL(6, F2) generators")
+
+
 def bfs_orbit(start: int, gens: list[AffineMap],
-              collect_matrices: bool = True,
               transcript: bool = False) -> OrbitResult:
     """Breadth-first enumeration of the coset orbit under the generators.
 
@@ -213,15 +260,12 @@ def bfs_orbit(start: int, gens: list[AffineMap],
     counted when (and only when) it is re-reached, which always happens for a
     group orbit.
     """
-    if any(g.q != 2 or g.n != 6 for g in gens):
-        raise ValueError("orbit search needs AGL(6, F2) generators")
+    _check_gens(gens)
     tables = [_KEYS.action(g) for g in gens]
     grow_tabs = [xor_span(_rows_of(g), np.uint8) for g in gens]
     ngens = len(gens)
     pos_bits = (_CHUNK * ngens - 1).bit_length()  # a chunk's candidate positions
     visited = np.zeros(1 << (KEY_BITS - 3), dtype=np.uint8)  # one bit per key
-    half_mask = np.uint32((1 << (KEY_BITS // 2)) - 1)
-    halfb = np.uint32(KEY_BITS // 2)
 
     frontier_keys = np.array([start], dtype=np.uint32)
     frontier_A = np.array([[1, 2, 4, 8, 16, 32]], dtype=np.uint8)
@@ -242,34 +286,31 @@ def bfs_orbit(start: int, gens: list[AffineMap],
         # the level, while the temporaries stay a few MB.
         for s in range(0, frontier_keys.size, _CHUNK):
             fk = frontier_keys[s:s + _CHUNK]
-            lo_idx, hi_idx = fk & half_mask, fk >> halfb
             cand_keys = np.empty(fk.size * ngens, dtype=np.uint32)
-            for gi, (lo, hi) in enumerate(tables):
-                cand_keys[gi::ngens] = lo[lo_idx] ^ hi[hi_idx]
-            fresh_pos = np.flatnonzero((visited[cand_keys >> 3] >> (cand_keys & 7) & 1) == 0)
+            for gi, table in enumerate(tables):
+                cand_keys[gi::ngens] = _act(table, fk)
+            fresh_pos = np.flatnonzero(_unvisited(visited, cand_keys))
             # key << pos_bits | position: the first of each key's run is its
             # earliest candidate, which claims it
             claims = _sorted_distinct(
                 cand_keys[fresh_pos].astype(np.uint64) << pos_bits
                 | fresh_pos.astype(np.uint64), pos_bits)
-            uniq = claims >> pos_bits
-            np.bitwise_or.at(visited, uniq >> 3, (1 << (uniq & 7)).astype(np.uint8))
+            _mark(visited, claims >> pos_bits)
             claim_pos = np.sort((claims & ((1 << pos_bits) - 1)).astype(np.intp))
             level_claims += claim_pos.size
 
             parent_idx = s + claim_pos // ngens
             gen_idx = claim_pos % ngens
             level_keys.append(cand_keys[claim_pos])
-            if collect_matrices:
-                new_A = np.empty((claim_pos.size, 6), dtype=np.uint8)
-                for gi in range(ngens):
-                    sel = np.flatnonzero(gen_idx == gi)
-                    new_A[sel] = grow_tabs[gi][frontier_A[parent_idx[sel]]]
-                level_A.append(new_A)
-                pending.append(gf2_pack_rows(new_A))
-                if sum(p.size for p in pending) > 1 << 17:
-                    matrices = _sorted_distinct(np.concatenate([matrices, *pending]))
-                    pending = []
+            new_A = np.empty((claim_pos.size, 6), dtype=np.uint8)
+            for gi in range(ngens):
+                sel = np.flatnonzero(gen_idx == gi)
+                new_A[sel] = grow_tabs[gi][frontier_A[parent_idx[sel]]]
+            level_A.append(new_A)
+            pending.append(gf2_pack_rows(new_A))
+            if sum(p.size for p in pending) > 1 << 17:
+                matrices = _sorted_distinct(np.concatenate([matrices, *pending]))
+                pending = []
             if transcript:
                 t_keys.append(level_keys[-1])
                 if frontier_offset < 0:
@@ -281,13 +322,9 @@ def bfs_orbit(start: int, gens: list[AffineMap],
         frontier_offset = claimed_total
         claimed_total += level_claims
         frontier_keys = np.concatenate(level_keys)
-        if collect_matrices:
-            frontier_A = np.concatenate(level_A)
+        frontier_A = np.concatenate(level_A)
 
-    mset = None
-    if collect_matrices:
-        matrices = _sorted_distinct(np.concatenate([matrices, *pending]))
-        mset = MatrixSet(matrices) if matrices.size else None
+    mset = MatrixSet(_sorted_distinct(np.concatenate([matrices, *pending])))
     trans = None
     if transcript:
         trans = OrbitTranscript(
@@ -298,11 +335,121 @@ def bfs_orbit(start: int, gens: list[AffineMap],
     return OrbitResult(claimed_total, mset, trans)
 
 
+class _Classes(NamedTuple):
+    """Translation-class data per pattern p (the key's degree->=5 bits).
+
+    p = pat_lo[key & half mask] | pat_hi[key >> half bits]; key ^ shift[p] is
+    the key's translate of least pattern q; basis[:, p] is the zero-padded
+    RREF basis of the translation vectors that fix q; size[p] counts the keys
+    of the class.
+    """
+
+    pat_lo: np.ndarray
+    pat_hi: np.ndarray
+    shift: np.ndarray
+    basis: np.ndarray
+    size: np.ndarray
+
+
+def _rref(vectors) -> list[int]:
+    """Reduced row-echelon basis of the GF(2) span of the integer vectors.
+
+    v ^ b < v exactly when v has b's leading bit, so min(v, v ^ b) is one
+    elimination step; against an RREF basis the order does not matter.
+    """
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = [min(b, b ^ v) for b in basis] + [v]
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _translation_classes() -> _Classes:
+    high = [i for i, m in enumerate(_KEYS.members) if m.bit_count() >= 5]
+    bit = [1 << high.index(i) if i in high else 0 for i in range(KEY_BITS)]
+    pat_lo = xor_span(bit[:_HALF_BITS], np.uint8)
+    pat_hi = xor_span(bit[_HALF_BITS:], np.uint8)
+    heads = xor_span([1 << i for i in high], np.uint32)  # pattern p, no degree-4 bits
+    ident = AffineMap.identity(6).A
+    units = [_KEYS.action(AffineMap(2, 6, ident, tuple(int(i == j) for j in range(6))))
+             for i in range(6)]
+    # translates[c, p]: heads[p] under x -> x + c, composed from unit translations
+    translates = np.empty((64, heads.size), dtype=np.uint32)
+    translates[0] = heads
+    for c in range(1, 64):
+        i = (c & -c).bit_length() - 1
+        translates[c] = _act(units[i], translates[c ^ (1 << i)])
+    vectors = translates ^ heads
+    pats = pat_lo[translates & _HALF_MASK] | pat_hi[translates >> _HALF_BITS]
+    cols = np.arange(heads.size)
+    least = pats.argmin(axis=0)
+    target = pats[least, cols]
+    ordered = np.sort(vectors, axis=0)
+    size = 1 + (ordered[1:] != ordered[:-1]).sum(axis=0)
+    # translations that fix pattern q move its keys within their degree-4 bits
+    bases = [_rref(set(vectors[pats[:, q] == q, q].tolist())) for q in range(heads.size)]
+    basis = np.zeros((max(map(len, bases)), heads.size), dtype=np.uint32)
+    for p, q in enumerate(target):
+        basis[:len(bases[q]), p] = bases[q]
+    classes = _Classes(pat_lo, pat_hi, vectors[least, cols], basis, size)
+    for a in classes:
+        a.setflags(write=False)
+    return classes
+
+
+def _pattern(t: _Classes, keys: np.ndarray) -> np.ndarray:
+    return t.pat_lo[keys & _HALF_MASK] | t.pat_hi[keys >> _HALF_BITS]
+
+
+def canonical_keys(keys) -> np.ndarray:
+    """The canonical member of each key's translation class (uint32)."""
+    t = _translation_classes()
+    k = np.asarray(keys, dtype=np.uint32)
+    p = _pattern(t, k)
+    k = k ^ t.shift[p]
+    for b in t.basis:
+        k = np.minimum(k, k ^ b[p])
+    return k
+
+
+def class_sizes(keys) -> np.ndarray:
+    """The number of keys in each key's translation class."""
+    t = _translation_classes()
+    return t.size[_pattern(t, np.asarray(keys, dtype=np.uint32))]
+
+
+def orbit_lengths(starts, gens: list[AffineMap]) -> tuple[int, ...]:
+    """Orbit lengths of the start keys, walked over translation classes.
+
+    The generators must generate a group that contains the translations
+    (AGL(6,2) itself in every use here), so that orbits are unions of
+    classes.  One visited bit per canonical key is shared by all starts:
+    a start whose class an earlier start's orbit reached raises ValueError,
+    since the orbits would not then be distinct.
+    """
+    _check_gens(gens)
+    tables = [_KEYS.action(g) for g in gens]
+    visited = np.zeros(1 << (KEY_BITS - 3), dtype=np.uint8)  # one bit per key
+    lengths = []
+    for start in starts:
+        frontier = canonical_keys([start])
+        if not _unvisited(visited, frontier)[0]:
+            raise ValueError(f"start key {start} lies in an earlier start's orbit")
+        length = 0
+        while frontier.size:
+            _mark(visited, frontier)
+            length += int(class_sizes(frontier).sum())
+            cand = canonical_keys(np.concatenate([_act(tab, frontier) for tab in tables]))
+            frontier = _sorted_distinct(cand[_unvisited(visited, cand)])
+        lengths.append(length)
+    return tuple(lengths)
+
+
 def all_orbit_lengths(gens: list[AffineMap] | None = None) -> tuple[int, ...]:
     """Orbit lengths of the eleven class representatives' cosets."""
     if gens is None:
         gens = list(agl_generators(6, 2))
-    return tuple(
-        bfs_orbit(coset_key(fn_rep(i)), gens, collect_matrices=False).orbit_size
-        for i in range(NUM_CLASSES)
-    )
+    return orbit_lengths([coset_key(fn_rep(i)) for i in range(NUM_CLASSES)], gens)

@@ -35,8 +35,7 @@ def agl6_gens():
 
 @pytest.fixture(scope="session")
 def fn10_orbit(agl6_gens):
-    return bfs_orbit(coset_key(fn_rep(10)), agl6_gens,
-                     collect_matrices=True, transcript=True)
+    return bfs_orbit(coset_key(fn_rep(10)), agl6_gens, transcript=True)
 
 
 @pytest.fixture(scope="session")

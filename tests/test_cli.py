@@ -196,3 +196,18 @@ def test_reproduce_all_forwards_to_the_cli(monkeypatch):
     assert exc.value.code == 0
     assert calls == [["--workers", "2", "tables", "--which", "5"],
                      ["--workers", "2", "--out", "r.json", "verify", "--stage", "all"]]
+
+
+def test_tables_5_orbit_partition(capsys):
+    code, out, _ = run(capsys, "tables", "--which", "5")
+    assert code == 0 and "sum = 4194304 (2^22 = 4194304)" in out
+    assert "all values match" in out
+
+
+def test_tables_5_reports_a_missing_orbit(capsys, monkeypatch):
+    from rmcover import orbit
+
+    monkeypatch.setattr(orbit, "NUM_CLASSES", 10)  # walk fn_0..fn_9 only
+    code, out, _ = run(capsys, "tables", "--which", "5")
+    assert code == 1 and "MISMATCH against published values" in out
+    assert f"sum = {(1 << 22) - 888832} " in out

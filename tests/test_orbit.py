@@ -51,8 +51,11 @@ def test_coset_act_is_right_action(rng):
         assert ob.coset_act(ob.coset_act(k, l1), l2) == ob.coset_act(k, compose(l1, l2))
 
 
+def _translation(c):
+    return AffineMap(2, 6, AffineMap.identity(6).A, tuple(c >> i & 1 for i in range(6)))
+
+
 def test_translations_fix_degree4_keys_only(rng):
-    ident_rows = tuple(tuple(1 if i == j else 0 for j in range(6)) for i in range(6))
     deg4_positions = [i for i, m in enumerate(ob._KEYS.members) if m.bit_count() == 4]
     # a random key supported on degree-4 monomials is fixed by every translation
     key4 = 0
@@ -60,33 +63,79 @@ def test_translations_fix_degree4_keys_only(rng):
         if rng.integers(0, 2):
             key4 |= 1 << p
     for c in range(64):
-        tau = AffineMap(2, 6, ident_rows, tuple(c >> i & 1 for i in range(6)))
-        assert ob.coset_act(key4, tau) == key4
+        assert ob.coset_act(key4, _translation(c)) == key4
     # the degree-6 key is moved by every nonzero translation (the 64
     # translates are pairwise distinct cosets: Table 5's orbit length for the
     # full-monomial class)
     key6 = ob.coset_key(fn_rep(7))
     images = set()
     for c in range(64):
-        tau = AffineMap(2, 6, ident_rows, tuple(c >> i & 1 for i in range(6)))
-        images.add(ob.coset_act(key6, tau))
+        images.add(ob.coset_act(key6, _translation(c)))
     assert len(images) == 64
 
 
 def test_orbit_sizes_small(agl6_gens):
-    assert ob.bfs_orbit(ob.coset_key(fn_rep(0)), agl6_gens,
-                        collect_matrices=False).orbit_size == 1
-    assert ob.bfs_orbit(ob.coset_key(fn_rep(7)), agl6_gens,
-                        collect_matrices=False).orbit_size == 64
-    assert ob.bfs_orbit(ob.coset_key(fn_rep(1)), agl6_gens,
-                        collect_matrices=False).orbit_size == 651
+    assert ob.bfs_orbit(ob.coset_key(fn_rep(0)), agl6_gens).orbit_size == 1
+    assert ob.bfs_orbit(ob.coset_key(fn_rep(7)), agl6_gens).orbit_size == 64
+    assert ob.bfs_orbit(ob.coset_key(fn_rep(1)), agl6_gens).orbit_size == 651
 
 
 def test_orbit_size_generator_independent(agl6_gens, rng):
     h = random_affine_map(rng)
     conj = [compose(compose(h.inverse(), g), h) for g in agl6_gens]
     start = ob.coset_key(fn_rep(1))
-    assert ob.bfs_orbit(start, conj, collect_matrices=False).orbit_size == 651
+    assert ob.bfs_orbit(start, conj).orbit_size == 651
+    assert ob.orbit_lengths([start], conj) == (651,)
+
+
+def test_canonical_keys_constant_on_translation_classes(rng):
+    keys = [int(k) for k in rng.integers(0, 1 << 22, size=8)]
+    keys += [ob.coset_key(fn_rep(i)) for i in (1, 7, 9, 10)]
+    for k in keys:
+        # the class by definition: the 64 translates of the coset
+        translates = [ob.coset_act(k, _translation(c)) for c in range(64)]
+        canon = ob.canonical_keys(translates)
+        assert (canon == canon[0]).all()
+        assert int(canon[0]) in translates
+        assert int(ob.class_sizes([k])[0]) == len(set(translates))
+    all_canon = ob.canonical_keys(keys)
+    assert np.array_equal(ob.canonical_keys(all_canon), all_canon)
+
+
+def test_translation_class_census():
+    canon = ob.canonical_keys(np.arange(1 << 22, dtype=np.uint32))
+    canon.sort()
+    first = np.flatnonzero(np.r_[True, canon[1:] != canon[:-1]])
+    reps = canon[first]
+    sizes = ob.class_sizes(reps)
+    assert reps.size == 130048
+    assert np.array_equal(np.diff(np.r_[first, canon.size]), sizes)
+    assert dict(zip(*np.unique(sizes, return_counts=True))) == {1: 32768, 32: 64512, 64: 32768}
+    assert int(sizes.sum()) == 1 << 22
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3, 4, 7, 8])
+def test_class_walk_matches_bfs_orbit(agl6_gens, index):
+    start = ob.coset_key(fn_rep(index))
+    assert ob.orbit_lengths([start], agl6_gens) == (ob.bfs_orbit(start, agl6_gens).orbit_size,)
+
+
+def test_class_walk_matches_fn10_orbit(agl6_gens, fn10_orbit):
+    start = ob.coset_key(fn_rep(10))
+    assert ob.orbit_lengths([start], agl6_gens) == (fn10_orbit.orbit_size,) == (888832,)
+
+
+def test_class_walk_rejects_two_starts_in_one_orbit(agl6_gens):
+    start = ob.coset_key(fn_rep(3))
+    image = ob.coset_act(start, agl6_gens[1])
+    assert image != start
+    with pytest.raises(ValueError, match="earlier start's orbit"):
+        ob.orbit_lengths([start, image], agl6_gens)
+
+
+def test_class_walk_missing_representative_sums_short(agl6_gens):
+    starts = [ob.coset_key(fn_rep(i)) for i in range(11) if i != 5]
+    assert sum(ob.orbit_lengths(starts, agl6_gens)) == (1 << 22) - 312480
 
 
 # sha256 of the fn_10 walk's bytes.  Its levels are wider than one chunk of
@@ -186,6 +235,14 @@ def test_matrix_set_members_invertible(matrix_set):
         prod[:, i] = acc
     ident = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint8)
     assert (prod == ident[None, :]).all()
+
+
+def test_matrix_set_rejects_singular_member(matrix_set):
+    # row 5 = row 0 + row 1
+    bad = ob.gf2_pack_rows(np.array([[1, 2, 4, 8, 16, 3]], dtype=np.uint8))
+    assert bad[0] not in matrix_set.members
+    with pytest.raises(ValueError, match="singular"):
+        ob.MatrixSet(np.sort(np.concatenate([matrix_set.members, bad])))
 
 
 def test_gf2_invert_rejects_singular():
