@@ -19,7 +19,7 @@ desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -251,7 +251,6 @@ class AffineMap:
     n: int
     A: tuple[tuple[int, ...], ...]
     b: tuple[int, ...]
-    A_inv: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         fs = FieldSpec.of(self.q)
@@ -262,9 +261,18 @@ class AffineMap:
             raise ValueError("matrix entry out of field range")
         if any(not 0 <= e < self.q for e in self.b):
             raise ValueError("vector entry out of field range")
+        if self.q != 2:
+            _mat_inv(fs, self.A)  # the elimination raises on a singular matrix
+        elif not _gf2_independent(sum(e << j for j, e in enumerate(r)) for r in self.A):
+            raise SingularMatrixError("matrix is singular")
+
+    @cached_property
+    def A_inv(self) -> tuple[tuple[int, ...], ...]:
+        """A^-1, computed and checked on first use."""
+        fs = FieldSpec.of(self.q)
         inv = _mat_inv(fs, self.A)
-        object.__setattr__(self, "A_inv", inv)
-        assert _mat_mul(fs, self.A, inv) == _identity_rows(n), "inverse check failed"
+        assert _mat_mul(fs, self.A, inv) == _identity_rows(self.n), "inverse check failed"
+        return inv
 
     @classmethod
     def identity(cls, n: int, q: int = 2) -> "AffineMap":
@@ -303,6 +311,21 @@ def _dot(fs: FieldSpec, u, v) -> int:
 
 def _mat_vec(fs: FieldSpec, A, x) -> tuple[int, ...]:
     return tuple(_dot(fs, row, x) for row in A)
+
+
+def _gf2_independent(rows) -> bool:
+    """Whether GF(2) rows packed into ints are linearly independent.  Each
+    kept row has the leading bits of the rows kept before it cleared, so
+    min(r, r ^ b) over them in order reduces r to 0 exactly when it lies
+    in their span."""
+    basis = []
+    for r in rows:
+        for b in basis:
+            r = min(r, r ^ b)
+        if not r:
+            return False
+        basis.append(r)
+    return True
 
 
 def _mat_inv(fs: FieldSpec, A):

@@ -269,60 +269,95 @@ def _image_words(matrix_keys: np.ndarray, base_words: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """Stable argsort of the rows of a 2-D array of words below 2^32 in
+    lexicographic order.  Big-endian bytes compare as the numbers do, so
+    one sort of the rows viewed as opaque byte strings does it."""
+    keys = np.ascontiguousarray(rows, dtype=">u4")
+    return np.argsort(keys.view(np.dtype((np.void, 4 * keys.shape[1]))).ravel(),
+                      kind="stable")
+
+
+def _pivot_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `words` (the distinct words of one set W), its pivot w_j
+    and shift row: of the sorted rows {w_i ^ w_j : i != j}, the
+    lexicographically least one (on a tie, the one of the smallest w_j).
+    The row depends only on W up to translation, since W ^ c has the pivot
+    w_j ^ c and the same shifts.
+
+    The least row starts with d*, the least XOR of two words of W, so only
+    the words with a partner at XOR d* compete.  For words a < b < c,
+    a ^ c > min(a ^ b, b ^ c): b agrees with a and c above the highest bit
+    h where they differ, and at h it agrees with one of them, so its XOR
+    with that one is below 2^h <= a ^ c.  So every pair at XOR d* is a pair
+    of neighbours in sorted order.  Most image sets have four such words; a
+    set with period d* has all of them.
+    """
+    s = np.sort(words, axis=1)
+    gaps = s[:, 1:] ^ s[:, :-1]
+    tight = gaps == gaps.min(axis=1, keepdims=True)
+    cand = np.zeros(s.shape, dtype=bool)
+    cand[:, 1:] = tight
+    cand[:, :-1] |= tight
+    owner, col = np.nonzero(cand)
+    pivots = s[owner, col]
+    keys = s[owner]
+    keys ^= pivots[:, None]
+    keys.sort(axis=1)
+    keys[:, 0] = owner  # in place of w_j ^ w_j = 0: sort by owner, then row
+    keys = keys.byteswap(inplace=True).view(">u4")  # the same numbers, big-endian
+    order = _lex_order(keys)
+    o = owner[order]
+    best = order[np.r_[True, o[1:] != o[:-1]]]
+    return pivots[best], keys[best, 1:].astype(np.uint32)
+
+
 def _sweep_shard(matrix_keys: np.ndarray, base_words: np.ndarray,
                  targets: np.ndarray, allowed: np.ndarray) -> tuple[int, list]:
     """Run the subset test for one contiguous chunk of matrices, walking
-    them in the lexicographic order of their rank-sorted shifts so that
-    each shift prefix the chunk shares is filtered once.
+    them in the lexicographic order of their pivot shift rows so that each
+    shift prefix the chunk shares is filtered once.
 
     Returns (matrices processed, hits) where each hit is
     (matrix_key, target_word, shift_word), in chunk order.
     """
     nmat = matrix_keys.shape[0]
     first = np.empty(nmat, dtype=np.uint32)
-    shifts = np.empty((base_words.size - 1, nmat), dtype=np.uint32)
+    pivots = np.empty(nmat, dtype=np.uint32)
+    rows = np.empty((nmat, base_words.size - 1), dtype=np.uint32)
     for s in range(0, nmat, 1024):  # image blocks keep their temporaries small
         words = _image_words(matrix_keys[s:s + 1024], base_words)
         first[s:s + 1024] = words[0]
-        np.bitwise_xor(words[1:], words[0], out=shifts[:, s:s + 1024])
-    del words  # before np.unique, where the shard's memory peaks
-    # rank the shard's distinct shift words by count descending, then word
-    # ascending; each matrix's shifts in rank order are its path in a trie
-    uniq, counts = np.unique(shifts, return_counts=True)
-    by_rank = np.argsort(-counts, kind="stable")  # uniq is ascending
-    del counts
-    rank = np.empty(uniq.size, dtype=np.int32)
-    rank[by_rank] = np.arange(uniq.size, dtype=np.int32)
-    ranks = np.empty(shifts.shape, dtype=np.int32)
-    for i in range(shifts.shape[0]):  # sorted needles keep the lookups cache-friendly
-        o = np.argsort(shifts[i])
-        ranks[i, o] = rank[np.searchsorted(uniq, shifts[i, o])]
-    del shifts, rank
-    ranks.sort(axis=0)
-    walk = np.lexsort(ranks[::-1])
-    ranks = ranks[:, walk]
-    # levels matrix k shares with matrix k-1 of the walk
-    differs = ranks[:, 1:] != ranks[:, :-1]
-    common = np.zeros(nmat, dtype=np.intp)
-    common[1:] = np.where(differs.any(axis=0), differs.argmax(axis=0), ranks.shape[0])
+        pivots[s:s + 1024], rows[s:s + 1024] = _pivot_rows(words.T)
+    walk = _lex_order(rows)
+    rows = rows[walk]
+    differs = rows[1:] != rows[:-1]
+    fresh = np.r_[True, differs.any(axis=1)]  # the first matrix of each distinct row
+    # levels each distinct row shares with the one before it
+    common = np.r_[0, differs.argmax(axis=1)][fresh]
     del differs
-    paths = uniq[by_rank][ranks.T]  # one row per matrix: its shifts in rank order
-    del ranks
-    # stack[j]: the targets that survive the first j shifts of the path
+    group = np.empty(nmat, dtype=np.intp)  # each matrix's distinct row
+    group[walk] = np.cumsum(fresh) - 1
+    rows = rows[fresh]
+    # stack[j]: the targets that survive the first j shifts of the row
     stack = [targets]
     survivors = {}
-    for k, m in enumerate(walk):
-        del stack[min(common[k], len(stack) - 1) + 1:]
+    for k, row in enumerate(rows):
+        del stack[common[k] + 1:]
         alive = stack[-1]
-        for x in paths[k, len(stack) - 1:]:
+        for x in row[len(stack) - 1:]:
             if not alive.size:
                 break
             alive = np.compress(allowed.take(alive ^ x), alive)
             stack.append(alive)
         if alive.size:
-            survivors[m] = alive
-    hits = [(int(matrix_keys[m]), int(t), int(first[m] ^ t))
-            for m in sorted(survivors) for t in survivors[m]]
+            survivors[k] = alive
+    # a survivor t is the target w_j + u of a translate W + u inside the
+    # targets; in the frame of base word 0 it is w_0 + u, with shift u
+    hits = []
+    for m in np.flatnonzero(np.isin(group, list(survivors))):
+        for t in np.sort(survivors[group[m]] ^ (pivots[m] ^ first[m])):
+            hits.append((int(matrix_keys[m]), int(t), int(first[m] ^ t)))
     return nmat, hits
 
 
@@ -336,24 +371,23 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
     the covering condition at TARGET on fn_6's bottom level; passing (no hit
     anywhere) refutes nl_3 = TARGET for every type-(6,10) function.
 
-    For a matrix with image words w_0..w_31, the hits are the targets t with
-    t + (w_i + w_0) a target for every i: the intersection of the target
-    set T with its 31 shifts.  Each shard ranks its distinct shift words by
-    how many of its matrices carry them (the smallest word first on a tie)
-    and sorts every matrix's shifts by that rank, so matrices that share
-    their best-ranked shifts share a prefix of their filter sequence.  The
-    ranks are looked up one shift row at a time by binary search over the
-    shard's sorted distinct words, with the row sorted first so that
-    successive searches touch neighbouring entries.
-    Walking the matrices in lexicographic order of those sequences, each one
-    takes the targets that survive the prefix it has in common with the
-    previous matrix and filters only past it, stopping at the first empty
-    level: T is scanned once per distinct prefix rather than once per
-    matrix.  An intersection does not depend on the order of its terms, and
-    filtering keeps ascending order, so every matrix keeps the survivors of
-    filtering by its 31 shifts in index order; hits are gathered in shard
-    order, so the hits, their order and the verdict do not depend on the
-    walk.
+    For a matrix with image words W = {w_0..w_31}, the hits are the
+    translates W + u inside the target set T, reported as the target
+    t = w_0 + u and the shift u.  Whether W + u lies in T depends only on
+    the set W up to translation, and from any pivot w_j it is the test
+    t' = w_j + u in T with t' + (w_i + w_j) in T for every i: the
+    intersection of T with its 31 shifts by w_i + w_j.  Each matrix takes
+    the pivot whose sorted shift row is lexicographically least
+    (`_pivot_rows`), so matrices whose image sets are translates of each
+    other get the same row.  Each shard walks its distinct rows in
+    lexicographic order; each takes the targets that survive the prefix
+    it has in common with the previous row and filters only past it,
+    stopping at the first empty level: T is scanned once per distinct
+    prefix rather than once per matrix.  Every matrix of a row maps the
+    row's survivors t' to t = t' + w_j + w_0 and sorts them: these are the
+    targets t with t + (w_i + w_0) in T for every i, in ascending order,
+    and hits are gathered matrix by matrix in shard order, so the hits,
+    their order and the verdict do not depend on the pivots or the walk.
 
     stride > 1 selects the deterministic subset of matrices with index
     divisible by stride (a proxy for tests and benchmarks).  Shards are

@@ -58,6 +58,26 @@ def test_singular_matrix_rejected():
         fl.AffineMap(2, 2, ((1, 1), (1, 1)), (0, 0))
 
 
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
+def test_singular_check_matches_elimination(q, n):
+    # every n x n matrix: construction raises exactly when inverting by
+    # elimination does, and the inverse computed on first use is one
+    import itertools
+
+    fs = fl.FieldSpec.of(q)
+    ident = fl.AffineMap.identity(n, q)
+    for entries in itertools.product(range(q), repeat=n * n):
+        A = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+        try:
+            fl._mat_inv(fs, A)
+        except fl.SingularMatrixError:
+            with pytest.raises(fl.SingularMatrixError):
+                fl.AffineMap(q, n, A, (0,) * n)
+            continue
+        L = fl.AffineMap(q, n, A, (1,) + (0,) * (n - 1))
+        assert fl.compose(L, L.inverse()) == fl.compose(L.inverse(), L) == ident
+
+
 def test_dimension_mismatch():
     a = fl.AffineMap.identity(2)
     b = fl.AffineMap.identity(3)

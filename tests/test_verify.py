@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rmcover import verify as vf
 from rmcover.boolfn import BooleanFunction, concat, degree, split
@@ -330,6 +332,11 @@ def test_sweep_matches_per_matrix_reference(matrix_set, tables):
               for a in range(shard) for b in range(a + 1, shard)]
     assert max(shared) > 0  # the first shard has matrices that share a pivot
 
+    # the sweep filters from each matrix's pivot: some hit matrix has a
+    # pivot other than its word 0, so the hits are mapped back to that frame
+    pivots, _ = vf._pivot_rows(np.array(images))
+    assert any(pivots[m] != images[m][0] for m in (0, 5, 40))
+
     v = vf.sweep_610(MatrixSet(keys), tables[6], fake, shard_size=shard)
     assert v.outcome == "fail"
     assert v.counterexample == expected[0]
@@ -414,6 +421,106 @@ def test_sweep_prefix_reuse():
         assert v.counters == {"matrices": 7, "targets_per_matrix": targets.size,
                               "subset_size": 32, "hits": len(expected),
                               "shards": 2 if shard == 4 else 1, "resumed_shards": 0}
+
+
+def _per_matrix_hits(keys, images, targets, allowed):
+    """The plain per-matrix loop: for each matrix, the targets t that keep
+    t + (w_i + w_0) a target for its 31 shifts in index order."""
+    hits = []
+    for key, w in zip(keys, images):
+        alive = targets
+        for x in w[1:] ^ w[0]:
+            alive = alive[allowed[alive ^ x]]
+        hits += [(int(key), int(t), int(w[0] ^ t)) for t in alive]
+    return hits
+
+
+def test_sweep_planted_hit_on_periodic_image_set(matrix_set, tables):
+    # members 14 and 15 of the matrix set have the same image set W, with
+    # W + d* = W for d* its least XOR of two words, so all 32 words tie for
+    # the pivot.  Plant W + g, which makes both g and g + d* hits for each,
+    # and a near miss (all of member 16's images but one), on a target table
+    keys = matrix_set.members[8:24]
+    images = _reference_images(keys, tables[6].level_set(6))
+    w = np.sort(images[6])
+    d_star = np.min(w[1:] ^ w[:-1])
+    assert np.array_equal(np.sort(w ^ d_star), w)
+    values = np.zeros(1 << 20, dtype=np.uint8)
+    values[w ^ np.uint32(0x2468A)] = 15
+    values[np.delete(images[8], 9) ^ np.uint32(0x13579)] = 15
+    allowed = values == 15
+    targets = np.flatnonzero(allowed).astype(np.uint32)
+    expected = _per_matrix_hits(keys, images, targets, allowed)
+    assert [h[0] for h in expected] == [int(keys[6])] * 2 + [int(keys[7])] * 2
+
+    v = vf.sweep_610(MatrixSet(keys), tables[6], NlTable(tables[10].base, 3, values),
+                     shard_size=8)
+    assert v.counterexample == expected[0] and v.counters["hits"] == 4
+    hits = [h for s in (0, 8)
+            for h in vf._sweep_shard(keys[s:s + 8], tables[6].level_set(6), targets,
+                                     allowed)[1]]
+    assert hits == expected
+
+
+def _brute_pivot(words):
+    """The least (sorted shift row, pivot) over every pivot of the set."""
+    return min((sorted(w ^ p for w in words if w != p), p) for p in words)
+
+
+_word_sets = st.lists(st.integers(0, (1 << 20) - 1), min_size=2, max_size=32, unique=True)
+
+
+@given(_word_sets, st.integers(0, (1 << 20) - 1), st.randoms(use_true_random=False))
+def test_pivot_row_is_the_least_over_all_pivots(words, c, rnd):
+    # the row is the brute-force least row, the pivot a word of the set,
+    # and both follow the set under translation by c and reordering
+    pivots, rows = vf._pivot_rows(np.array([words], dtype=np.uint32))
+    row, pivot = _brute_pivot(words)
+    assert rows[0].tolist() == row and int(pivots[0]) == pivot
+    assert pivot in words
+    moved = [w ^ c for w in words]
+    rnd.shuffle(moved)
+    moved_pivots, moved_rows = vf._pivot_rows(np.array([moved], dtype=np.uint32))
+    assert moved_rows[0].tolist() == row
+    # the pivot moves to pivot ^ c up to a period of the set, on a tie
+    period = int(moved_pivots[0]) ^ c ^ pivot
+    assert {w ^ period for w in words} == set(words)
+
+
+@given(st.lists(_word_sets, min_size=1, max_size=8))
+def test_pivot_rows_batch_matches_one_by_one(sets):
+    # rows of one batch are independent of each other
+    width = min(len(s) for s in sets)
+    sets = [s[:width] for s in sets]
+    pivots, rows = vf._pivot_rows(np.array(sets, dtype=np.uint32))
+    assert [(r.tolist(), int(p)) for p, r in zip(pivots, rows)] == \
+        [_brute_pivot(s) for s in sets]
+
+
+@given(st.lists(st.integers(0, 255), min_size=2, max_size=12, unique=True))
+def test_least_xor_pairs_are_sorted_neighbours(words):
+    # the lemma behind the pivot candidates: the least XOR of two words is
+    # attained only by neighbours in sorted order
+    s = sorted(words)
+    pairs = [(a, b) for i, a in enumerate(s) for b in s[i + 1:]]
+    d_star = min(a ^ b for a, b in pairs)
+    assert d_star == min(a ^ b for a, b in zip(s, s[1:]))
+    assert all(b == s[s.index(a) + 1] for a, b in pairs if a ^ b == d_star)
+
+
+@given(st.lists(st.integers(0, (1 << 19) - 1), min_size=16, max_size=16, unique=True),
+       st.integers(0, (1 << 20) - 1))
+def test_pivot_of_a_periodic_set(halves, c):
+    # the words of V and of V ^ 1, V even words, all translated by c: every
+    # word has its partner at the least XOR 1, so all 32 words compete and
+    # tie in pairs;
+    # the choice is the brute-force one, and its partner gives the same row
+    words = [(2 * v) ^ b ^ c for v in halves for b in (0, 1)]
+    pivots, rows = vf._pivot_rows(np.array([words], dtype=np.uint32))
+    row, pivot = _brute_pivot(words)
+    assert rows[0].tolist() == row and int(pivots[0]) == pivot
+    assert row[0] == 1
+    assert sorted(w ^ pivot ^ 1 for w in words if w != pivot ^ 1) == row
 
 
 # ---------------------------------------------------------------------------
