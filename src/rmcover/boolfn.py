@@ -41,6 +41,7 @@ __all__ = [
     "monomial_masks",
     "popcount_mask",
     "xor_span",
+    "rref",
 ]
 
 
@@ -99,6 +100,22 @@ def xor_span(gens, dtype) -> np.ndarray:
         out[1 << i:2 << i] = out[:1 << i] ^ dtype(g)
     out.setflags(write=False)
     return out
+
+
+def rref(vectors) -> list[int]:
+    """Reduced row-echelon basis of the GF(2) span of the integer vectors.
+
+    v ^ b < v exactly when v has b's leading bit, so min(v, v ^ b) is one
+    elimination step; against an RREF basis the order does not matter, and
+    reducing any v gives the least element of v + span.
+    """
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = [min(b, b ^ v) for b in basis] + [v]
+    return basis
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,20 @@ are a max-plus XOR convolution of gathers from one cached uint8 table of
 combine by a min-plus XOR convolution, evaluated as a threshold convolution
 in the Walsh domain (float32 forward and float64 inverse GEMMs) that tests
 only the candidate sums below an attained upper bound; rows of width <= 64
-take a direct broadcast minimum.  A full (n=6, r=3) table (2^20 entries)
-builds in 0.12-0.13 s (median of 20 random bases, three runs; 0.17-0.19 s
-with the order-1 GEMMs, alternated) on a shared 2-core Xeon VM (Python
-3.11.7, numpy 2.4.6, OpenBLAS 0.3.31).
+take a direct broadcast minimum.
+
+A translation c with f o tau_c + f in RM(r, n) is a period of f's table:
+adding its degree-r word to any word keeps the value (`nl_table_values`).
+Rows of the min-plus that such a period links are computed once and copied.
+At n = 6 and r = 3 every translation is a period of a base of degree <= 4,
+one is a period of a degree-5 base and none of a degree-6 base.  So fn_2
+and fn_3 compute 32 of 1,024 rows, fn_1 64, fn_5 and fn_6 512, and fn_0,
+fn_4 (whose periods link no two rows) and fn_7-fn_10 all of them.  A full
+(n=6, r=3) table (2^20 entries) builds in 0.08-0.10 s (median of 20 random
+bases, about half of degree 5; six runs), and the 11 class tables take
+0.75-1.05 s together, against 1.14-1.44 s with every row computed
+(alternated), on a shared 2-core Xeon VM (Python 3.11.7, numpy 2.4.6,
+OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -40,8 +50,11 @@ import numpy as np
 from .boolfn import (
     BooleanFunction,
     MonomialSet,
+    _butterfly_masks,
     mobius,
     monomial_masks,
+    popcount_mask,
+    rref,
     split,
     weight,
     xor_span,
@@ -73,6 +86,10 @@ TABLE_WORD_CAP = 1 << 24
 # Largest RM(r,n) dimension the brute-force oracle enumerates.  The (5,3)
 # oracle-equivalence check needs dim RM(3,5) = 26.
 BRUTE_FORCE_DIM_CAP = 26
+
+# Widest min-plus row taken by the direct broadcast minimum; wider rows take
+# the Walsh path, and only their tables look for translation periods.
+_BROADCAST_WIDTH = 64
 
 NLT_MAGIC = b"NLT1"
 NLT_ORDER_TAG = b"mask-asc"
@@ -157,21 +174,6 @@ def _xor_index(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _spread_tables(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter tables embedding (u, v) half-words into the canonical word.
-
-    A degree-r word g of n variables decomposes as g = u + x_n * v with
-    u over H_{n-1}^(r) and v over H_{n-1}^(r-1); the tables map each half
-    word to its bits' positions inside the canonical H_n^(r) index.
-    """
-    full_index = {m: i for i, m in enumerate(monomial_masks(n, r))}
-    top = 1 << (n - 1)
-    u_bits = [1 << full_index[m] for m in monomial_masks(n - 1, r)]
-    v_bits = [1 << full_index[m | top] for m in monomial_masks(n - 1, r - 1)]
-    return xor_span(u_bits, np.uint32), xor_span(v_bits, np.uint32)
-
-
-@lru_cache(maxsize=None)
 def _abs_walsh(k: int) -> np.ndarray:
     """T[a, g] = |W_g(a)| for every k-variable truth table g, read-only uint8.
 
@@ -237,7 +239,7 @@ def _minplus_rows(n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     through the Walsh-domain threshold convolution in blocks of rows.
     """
     rows, width = n1.shape
-    if width <= 64:
+    if width <= _BROADCAST_WIDTH:
         xi = _xor_index(width.bit_length() - 1)
         return (n1[:, None, :] + n2[:, xi]).min(axis=2)
     lo1, lo2 = n1.min(axis=1, keepdims=True), n2.min(axis=1, keepdims=True)
@@ -314,21 +316,64 @@ def _minplus_walsh(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
     return np.append(sums, top)[first].transpose(1, 0, 2).reshape(rows, width)
 
 
-def _scatter(c: np.ndarray, n: int, r: int) -> np.ndarray:
-    """Place C[u, v] at the canonical index of the word u + x_n * v."""
-    spread_u, spread_v = _spread_tables(n, r)
-    out = np.empty(1 << comb(n, r), dtype=np.uint8)
-    for s in range(0, c.shape[0], 64):  # bounds the index temporary to 256 KB
-        out[spread_u[s:s + 64, None] | spread_v] = c[s:s + 64]
-    return out
+def _periods(f: BooleanFunction, r: int) -> dict[int, int]:
+    """The translations that fix f's coset mod RM(r, n), with their words.
+
+    Maps each c != 0 with f o tau_c + f in RM(r, n), tau_c: x -> x + c, to
+    sigma(c), the canonical degree-r word of that sum.  Each translate's
+    truth table swaps the halves of one butterfly of the previous one.
+    """
+    n = f.n
+    masks = _butterfly_masks(n)
+    high = sum(popcount_mask(n, d) for d in range(r + 1, n + 1))
+    ms = MonomialSet.of(n, r)
+    tts = [f.tt]
+    periods = {}
+    for c in range(1, 1 << n):
+        d = (c & -c).bit_length() - 1
+        t, m, h = tts[c ^ (1 << d)], masks[d], 1 << d
+        tts.append((t & m) << h | (t >> h) & m)
+        diff = mobius(tts[c] ^ f.tt, n)
+        if not diff & high:
+            periods[c] = ms.anf_to_word(diff)
+    return periods
+
+
+def _row_classes(f: BooleanFunction, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """rep(u) and shift(u) with C[u, v] = C[rep(u), v ^ shift(u)] for every v.
+
+    A word sigma(c) = u_c + x_n * v_c of a period (see `nl_table_values`)
+    gives C[u ^ u_c, v ^ v_c] = C[u, v].  The keys u_c << nv | v_c reduce
+    against their RREF basis: the u part of u << nv goes to rep(u), the least
+    element of u + span{u_c}, while the v part collects the v_c of the
+    periods whose u parts were added, which is shift(u).
+    """
+    nu, nv = comb(f.n - 1, r), comb(f.n - 1, r - 1)
+    keys = [(w & ((1 << nu) - 1)) << nv | w >> nu for w in _periods(f, r).values()]
+    k = np.arange(1 << nu, dtype=np.intp) << nv
+    for b in rref(keys):
+        np.minimum(k, k ^ b, out=k)
+    return k >> nv, k & ((1 << nv) - 1)
 
 
 def nl_table_values(f: BooleanFunction, r: int) -> np.ndarray:
     """The value array nl_{r-1}(f + g) over all degree-r words g.
 
-    Indexed by the canonical coefficient word.  For r >= 3, row u of each
-    half's matrix holds the order-(r-1) values of f_i + u over the words v,
-    and the halves combine by the min-plus XOR convolution.
+    Indexed by the canonical coefficient word, in which u + x_n * v has
+    index u | v << C(n-1, r): the monomials with x_n have the largest
+    masks.  For r >= 3, row u of each half's matrix holds the order-(r-1)
+    values of f_i + u over the words v, the halves combine by the min-plus
+    XOR convolution into C[u, v], and the table is C transposed.
+
+    Periods: if f o tau_c + f lies in RM(r, n) (tau_c: x -> x + c), let
+    sigma(c) be its degree-r word.  nl_{r-1} ignores translations and terms
+    of degree < r, and g o tau_c = g + (terms of degree < r), so
+    T[g] = T[g ^ sigma(c)].  The periods form a group on which sigma is
+    linear, so the rows of C fall into the cosets u + span{u_c} of its u
+    parts; the min-plus runs on one row per coset and the others are
+    copies with their columns shifted (`_row_classes`).  Tables whose rows
+    take the Walsh path look for periods; without any, every row is its
+    own class.
     """
     n = f.n
     if not 2 <= r <= n:
@@ -339,16 +384,31 @@ def nl_table_values(f: BooleanFunction, r: int) -> np.ndarray:
         )
     if r == 2:
         return _nl1_batch(np.uint64(f.tt) ^ _word_tts(n, 2), n)
+    nu, width = comb(n - 1, r), 1 << comb(n - 1, r - 1)
+    rows = slice(None)  # every row of C
+    if width > _BROADCAST_WIDTH:
+        rep, shift = _row_classes(f, r)
+        rows = np.flatnonzero(rep == np.arange(1 << nu))
     halves = split(f)
     if r == 3:
-        ttu = _word_tts(n - 1, 3)
+        ttu = _word_tts(n - 1, 3)[rows]
         n1, n2 = (_nl1_matrix(h.tt, ttu, n - 1) for h in halves)
     else:
         ms_u = MonomialSet.of(n - 1, r)
-        shifts = [ms_u.function(u) for u in range(1 << comb(n - 1, r))]
+        shifts = [ms_u.function(int(u)) for u in np.arange(1 << nu)[rows]]
         n1, n2 = (np.stack([nl_table_values(h + g, r - 1) for g in shifts])
                   for h in halves)
-    return _scatter(_minplus_rows(n1, n2), n, r)
+    c = _minplus_rows(n1, n2)
+    if c.shape[0] == 1 << nu:
+        return c.T.ravel()
+    # out[v, u] = C[rep(u), v ^ shift(u)], the table as a (v, u) matrix,
+    # filled 16 columns at a time (an index of width x 16 intp)
+    flat, span = c.ravel(), np.arange(width)[:, None]
+    base = np.searchsorted(rows, rep) * width
+    out = np.empty((width, 1 << nu), dtype=np.uint8)
+    for s in range(0, 1 << nu, 16):
+        out[:, s:s + 16] = flat[base[s:s + 16] + (span ^ shift[s:s + 16])]
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------

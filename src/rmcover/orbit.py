@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boolfn import BooleanFunction, MonomialSet, apply_affine, xor_span
+from .boolfn import BooleanFunction, MonomialSet, apply_affine, rref, xor_span
 from .classify import NUM_CLASSES, fn_rep
 from .field import AffineMap, agl_generators
 from .nonlin import artifact_meta, read_artifact, save_artifact
@@ -351,21 +351,6 @@ class _Classes(NamedTuple):
     size: np.ndarray
 
 
-def _rref(vectors) -> list[int]:
-    """Reduced row-echelon basis of the GF(2) span of the integer vectors.
-
-    v ^ b < v exactly when v has b's leading bit, so min(v, v ^ b) is one
-    elimination step; against an RREF basis the order does not matter.
-    """
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis = [min(b, b ^ v) for b in basis] + [v]
-    return basis
-
-
 @lru_cache(maxsize=None)
 def _translation_classes() -> _Classes:
     high = [i for i, m in enumerate(_KEYS.members) if m.bit_count() >= 5]
@@ -390,7 +375,7 @@ def _translation_classes() -> _Classes:
     ordered = np.sort(vectors, axis=0)
     size = 1 + (ordered[1:] != ordered[:-1]).sum(axis=0)
     # translations that fix pattern q move its keys within their degree-4 bits
-    bases = [_rref(set(vectors[pats[:, q] == q, q].tolist())) for q in range(heads.size)]
+    bases = [rref(set(vectors[pats[:, q] == q, q].tolist())) for q in range(heads.size)]
     basis = np.zeros((max(map(len, bases)), heads.size), dtype=np.uint32)
     for p, q in enumerate(target):
         basis[:len(bases[q]), p] = bases[q]

@@ -238,3 +238,21 @@ def test_monomial_set_action_matches_definition(ms, rng):
             w = int(w)
             want = ms.anf_to_word(bf.apply_affine(ms.function(w), L).anf)
             assert int(lo[w & ((1 << half) - 1)] ^ hi[w >> half]) == want
+
+
+def test_rref_reduces_to_the_least_coset_element(rng):
+    for _ in range(20):
+        vectors = [int(v) for v in rng.integers(0, 256, size=int(rng.integers(0, 6)))]
+        span = {0}
+        for v in vectors:
+            span |= {s ^ v for s in span}
+        basis = bf.rref(vectors)
+        assert len(basis) == len(span).bit_length() - 1
+        # each leading bit is set in its own basis vector only
+        for b in basis:
+            assert sum(c >> (b.bit_length() - 1) & 1 for c in basis) == 1
+        for v in range(256):
+            w = v
+            for b in basis:
+                w = min(w, w ^ b)
+            assert w == min(v ^ s for s in span)

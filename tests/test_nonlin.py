@@ -227,14 +227,101 @@ def test_nl1_matrix_matches_scalar_nl1(rng, n):
         assert m[u, w] == nl.nl1(f)
 
 
+def _random_base(rng, deg):
+    """A random 6-variable base of degree exactly deg (terms of degree >= 3)."""
+    masks = [m for m in range(64) if 3 <= m.bit_count() <= deg]
+    while True:
+        f = BooleanFunction.from_anf(6, sum(1 << m for m in masks if rng.integers(0, 2)))
+        if bf.degree(f) == deg:
+            return f
+
+
 def test_order4_table_matches_recursion(rng):
-    # the r = 4 assembly (row stacking, width-1024 min-plus, scatter) against
-    # nl_3 of each shifted function from its own split into (5,3) tables
-    f = BooleanFunction.from_tt(6, int(rng.integers(0, 1 << 63)))
-    values = nl.nl_table_values(f, 4)
+    # the r = 4 assembly (row stacking, width-1024 min-plus, transpose)
+    # against nl_3 of each shifted function from its own split into (5,3)
+    # tables: a random truth table (degree 6, no period at r = 4) and a
+    # degree-5 base, for which every translation is a period
     ms = MonomialSet.of(6, 4)
-    for w in rng.integers(0, 1 << len(ms), size=32):
-        assert values[w] == nl.nl_r_recursive(f + ms.function(int(w)), 3)
+    for f in (BooleanFunction.from_tt(6, int(rng.integers(0, 1 << 63))),
+              _random_base(rng, 5)):
+        values = nl.nl_table_values(f, 4)
+        for w in rng.integers(0, 1 << len(ms), size=32):
+            assert values[w] == nl.nl_r_recursive(f + ms.function(int(w)), 3)
+
+
+# ---------------------------------------------------------------------------
+# translation periods of the table rows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,r", [(4, 2), (5, 2), (5, 3), (5, 4), (6, 2), (6, 3), (6, 4)])
+def test_canonical_index_splits_along_top_variable(n, r):
+    # the table is C transposed because the canonical index of u + x_n * v
+    # is u | v << C(n-1, r): the low words are the monomials without x_n
+    # in their own order, then those with x_n in the order of v
+    top = 1 << (n - 1)
+    low, high = MonomialSet.of(n - 1, r).members, MonomialSet.of(n - 1, r - 1).members
+    assert MonomialSet.of(n, r).members == low + tuple(m | top for m in high)
+
+
+def _periods_by_definition(f):
+    """c -> T_3(f o tau_c + f) over the c whose translate keeps the coset key."""
+    from rmcover.field import AffineMap
+    from rmcover.orbit import coset_key
+
+    ident = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+    out = {}
+    for c in range(1, 64):
+        moved = bf.apply_affine(f, AffineMap(2, 6, ident, tuple(c >> i & 1 for i in range(6))))
+        if coset_key(moved) == coset_key(f):
+            out[c] = MonomialSet.of(6, 3).anf_to_word(bf.homogeneous_part(moved + f, 3).anf)
+    return out
+
+
+def test_periods_match_definition(rng):
+    bases = [fn_rep(i) for i in range(11)] + [_random_base(rng, d) for d in (4, 5, 6)
+                                              for _ in range(3)]
+    for f in bases:
+        assert nl._periods(f, 3) == _periods_by_definition(f)
+    # every translation below degree 5, exactly one at degree 5, none at 6
+    assert [len(nl._periods(f, 3)) for f in bases[11:]] == [63] * 3 + [1] * 3 + [0] * 3
+
+
+def test_tables_without_periods_are_identical(monkeypatch, rng):
+    # the same bytes from every row computed: fn_1-fn_6, a degree-5 base and
+    # the (6,4) table of a degree-5 base
+    cases = [(fn_rep(i), 3) for i in range(1, 7)] + [(_random_base(rng, 5), 3),
+                                                     (_random_base(rng, 5), 4)]
+    assert all(nl._periods(f, r) for f, r in cases)
+    with_periods = [nl.nl_table_values(f, r) for f, r in cases]
+    monkeypatch.setattr(nl, "_periods", lambda f, r: {})
+    for (f, r), want in zip(cases, with_periods):
+        assert np.array_equal(nl.nl_table_values(f, r), want)
+
+
+def test_period_row_counts(monkeypatch):
+    # the min-plus runs on one row per class: 1,024 / 32 for fn_2, / 2 for
+    # fn_6, every row for fn_10, which has no period
+    seen = []
+    minplus = nl._minplus_rows
+
+    def counted(n1, n2):
+        seen.append(n1.shape[0])
+        return minplus(n1, n2)
+
+    monkeypatch.setattr(nl, "_minplus_rows", counted)
+    for i in (2, 6, 10):
+        nl.nl_table_values(fn_rep(i), 3)
+    assert seen == [32, 512, 1024]
+
+
+def test_class_table_digest_sees_a_wrong_period(monkeypatch):
+    # negative control: fn_6's one period with one bit of its word flipped
+    periods = {c: w ^ 1 for c, w in nl._periods(fn_rep(6), 3).items()}
+    assert len(periods) == 1
+    monkeypatch.setattr(nl, "_periods", lambda f, r: periods)
+    forged = nl.nl_table_values(fn_rep(6), 3)
+    assert hashlib.sha256(forged.tobytes()).hexdigest() != CLASS_TABLE_SHA256[6]
 
 
 def _minplus_definition(n1, n2):
