@@ -94,8 +94,12 @@ def popcount_mask(n: int, r: int) -> int:
 
 
 def xor_span(gens, dtype) -> np.ndarray:
-    """XOR of every subset of `gens` (read-only), indexed by the subset's mask."""
-    out = np.zeros(1 << len(gens), dtype=dtype)
+    """XOR of every subset of `gens` (read-only), indexed by the subset's mask.
+
+    The generators may be arrays of one shape; the span is then taken
+    elementwise, along a new first axis.
+    """
+    out = np.zeros((1 << len(gens), *np.shape(gens[0] if len(gens) else 0)), dtype=dtype)
     for i, g in enumerate(gens):
         out[1 << i:2 << i] = out[:1 << i] ^ dtype(g)
     out.setflags(write=False)

@@ -23,18 +23,20 @@ in the Walsh domain (float32 forward and float64 inverse GEMMs) that tests
 only the candidate sums below an attained upper bound; rows of width <= 64
 take a direct broadcast minimum.
 
-A translation c with f o tau_c + f in RM(r, n) is a period of f's table:
-adding its degree-r word to any word keeps the value (`nl_table_values`).
-Rows of the min-plus that such a period links are computed once and copied.
-At n = 6 and r = 3 every translation is a period of a base of degree <= 4,
-one is a period of a degree-5 base and none of a degree-6 base.  So fn_2
-and fn_3 compute 32 of 1,024 rows, fn_1 64, fn_5 and fn_6 512, and fn_0,
-fn_4 (whose periods link no two rows) and fn_7-fn_10 all of them.  A full
-(n=6, r=3) table (2^20 entries) builds in 0.08-0.10 s (median of 20 random
-bases, about half of degree 5; six runs), and the 11 class tables take
-0.75-1.05 s together, against 1.14-1.44 s with every row computed
-(alternated), on a shared 2-core Xeon VM (Python 3.11.7, numpy 2.4.6,
-OpenBLAS 0.3.31).
+An affine map L(x) = P x + c, with P a permutation of x_1..x_{n-1} and c
+any translation, that fixes f's coset mod RM(r, n) is a symmetry of f's
+table (`nl_table_values`).  Writing a word as u + x_n * v, it gives C[u, v]
+= C[u^P ^ sigma_u, v^P ^ sigma_v] on the min-plus output, so the min-plus
+runs on one row per orbit of the symmetries and the other rows are copies
+with their columns relabelled and shifted.  At n = 6 and r = 3 the class
+representatives compute 11-14 of 1,024 rows (fn_1-fn_3), 34 (fn_0, fn_4,
+fn_7), 74 (fn_5), 90 (fn_8), 102 (fn_6), 186 (fn_10) and 336 (fn_9).  Of
+1,000 random truth tables, 221 have only the identity, and the mean is 538
+rows.  The 11 class tables take 0.12-0.18 s together against 0.53-0.61 s
+with translations alone (one BLAS thread), and a random truth table 0.05 s
+against 0.08 s (median of 40, default threads), in alternated fresh
+processes on a shared 2-core Xeon VM (Python 3.11.7, numpy 2.4.6, OpenBLAS
+0.3.31).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import comb
 
 import numpy as np
@@ -53,7 +56,6 @@ from .boolfn import (
     _butterfly_masks,
     mobius,
     monomial_masks,
-    popcount_mask,
     rref,
     split,
     weight,
@@ -88,7 +90,7 @@ TABLE_WORD_CAP = 1 << 24
 BRUTE_FORCE_DIM_CAP = 26
 
 # Widest min-plus row taken by the direct broadcast minimum; wider rows take
-# the Walsh path, and only their tables look for translation periods.
+# the Walsh path, and only their tables search for symmetries.
 _BROADCAST_WIDTH = 64
 
 NLT_MAGIC = b"NLT1"
@@ -316,44 +318,94 @@ def _minplus_walsh(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
     return np.append(sums, top)[first].transpose(1, 0, 2).reshape(rows, width)
 
 
-def _periods(f: BooleanFunction, r: int) -> dict[int, int]:
-    """The translations that fix f's coset mod RM(r, n), with their words.
+@lru_cache(maxsize=None)
+def _variable_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial tables of every permutation p of x_1..x_{n-1} (x_n fixed).
 
-    Maps each c != 0 with f o tau_c + f in RM(r, n), tau_c: x -> x + c, to
-    sigma(c), the canonical degree-r word of that sum.  Each translate's
-    truth table swaps the halves of one butterfly of the previous one.
+    Row i of the first ((n-1)!, 2^n) table maps each monomial mask m to
+    the mask of x_m o P, where (P x)_j = x_{p(j)}; the second is its
+    inverse.  Row 0 is the identity.  Read-only.
     """
-    n = f.n
+    perms = np.array(list(permutations(range(n - 1))), dtype=np.intp)
+    masks = np.arange(1 << n)
+    table = np.repeat(masks[None] & 1 << n - 1, len(perms), axis=0)  # x_n stays
+    for j in range(n - 1):
+        table |= (masks >> j & 1) << perms[:, j:j + 1]
+    inverse = np.argsort(table, axis=1)
+    for t in (table, inverse):
+        t.setflags(write=False)
+    return table, inverse
+
+
+def _symmetries(f: BooleanFunction, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maps L(x) = P x + c that fix f's coset mod RM(r, n), with their words.
+
+    P permutes x_1..x_{n-1} and c is any translation.  Returns arrays (p,
+    c, sigma) over the group, ordered by p, then c: p is P's row of
+    `_variable_perms(n)` and sigma the canonical degree-r word of f o L + f.
+    As f o L = (f o tau_c) o P, L fixes the coset when the ANF of the
+    translate f o tau_c, its monomials relabelled by P, agrees with f's
+    above degree r.  Each translate's truth table swaps the halves of one
+    butterfly of the previous one.
+    """
+    n, size = f.n, 1 << f.n
     masks = _butterfly_masks(n)
-    high = sum(popcount_mask(n, d) for d in range(r + 1, n + 1))
-    ms = MonomialSet.of(n, r)
     tts = [f.tt]
-    periods = {}
-    for c in range(1, 1 << n):
+    for c in range(1, size):
         d = (c & -c).bit_length() - 1
         t, m, h = tts[c ^ (1 << d)], masks[d], 1 << d
         tts.append((t & m) << h | (t >> h) & m)
-        diff = mobius(tts[c] ^ f.tt, n)
-        if not diff & high:
-            periods[c] = ms.anf_to_word(diff)
-    return periods
+    anfs = b"".join(mobius(t, n).to_bytes(size // 8, "little") for t in tts)
+    # bits[c, m]: the coefficient of x_m in f o tau_c (row 0 is f)
+    bits = np.unpackbits(np.frombuffer(anfs, np.uint8), bitorder="little").reshape(size, size)
+    table, inverse = _variable_perms(n)
+    high = np.flatnonzero(np.bitwise_count(np.arange(size)) > r)
+    want = np.packbits(bits[0, table[:, high]], axis=1)
+    have = np.packbits(bits[:, high], axis=1)
+    p, c = np.nonzero((want[:, None] == have).all(axis=2))
+    ms = monomial_masks(n, r)
+    word = bits[c[:, None], inverse[p[:, None], ms]] ^ bits[0, ms]
+    return p, c, word.astype(np.int64) @ (1 << np.arange(len(ms)))
 
 
-def _row_classes(f: BooleanFunction, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """rep(u) and shift(u) with C[u, v] = C[rep(u), v ^ shift(u)] for every v.
+def _word_images(n: int, r: int, perms: np.ndarray) -> np.ndarray:
+    """W[w, i]: the (n-1)-variable degree-r word w relabelled by P_perms[i].
 
-    A word sigma(c) = u_c + x_n * v_c of a period (see `nl_table_values`)
-    gives C[u ^ u_c, v ^ v_c] = C[u, v].  The keys u_c << nv | v_c reduce
-    against their RREF basis: the u part of u << nv goes to rep(u), the least
-    element of u + span{u_c}, while the v part collects the v_c of the
-    periods whose u parts were added, which is shift(u).
+    Relabelling permutes the monomials, so it is linear on the words.
+    """
+    members = np.array(monomial_masks(n - 1, r))
+    pos = np.zeros(1 << n, dtype=np.intp)
+    pos[members] = np.arange(len(members))
+    targets = pos[_variable_perms(n)[0][perms[:, None], members]]
+    return xor_span(list(1 << targets.T), np.intp)
+
+
+def _row_orbits(f: BooleanFunction, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rep(u), perm(u) and shift(u) with C[u, v] = C[rep(u), v^P ^ shift(u)].
+
+    P is the permutation `_variable_perms` row perm(u), and v^P the word
+    v relabelled by it.  A symmetry (P, c) with word sigma = sigma_u + x_n
+    * sigma_v (see `nl_table_values`) gives C[u, v] = C[rho(u), v^P ^
+    sigma_v] with rho(u) = u^P ^ sigma_u.  The translations (P = id) map
+    u to the cosets u + span{sigma_u}: reducing u << nv against the RREF
+    basis of their keys sigma_u << nv | sigma_v gives the least element
+    of u's coset and the sum of the sigma_v on the way.  The maps with one
+    P form one coset of the translations, so u's orbit is the union of the
+    translation cosets of rho(u) over one map per P, and rep(u) is the
+    least of their least elements, the identity winning ties.
     """
     nu, nv = comb(f.n - 1, r), comb(f.n - 1, r - 1)
-    keys = [(w & ((1 << nu) - 1)) << nv | w >> nu for w in _periods(f, r).values()]
+    p, _, sigma = _symmetries(f, r)
+    su, sv = sigma & ((1 << nu) - 1), sigma >> nu
     k = np.arange(1 << nu, dtype=np.intp) << nv
-    for b in rref(keys):
+    for b in rref((su[p == 0] << nv | sv[p == 0]).tolist()):
         np.minimum(k, k ^ b, out=k)
-    return k >> nv, k & ((1 << nv) - 1)
+    rep, shift = k >> nv, k & ((1 << nv) - 1)
+    first = np.flatnonzero(np.diff(p, prepend=-1))  # one map per P
+    rho = _word_images(f.n, r, p[first]) ^ su[first]
+    best = rep[rho].argmin(axis=1)
+    rho = rho[np.arange(1 << nu), best]
+    return rep[rho], p[first][best], sv[first][best] ^ shift[rho]
 
 
 def nl_table_values(f: BooleanFunction, r: int) -> np.ndarray:
@@ -365,15 +417,20 @@ def nl_table_values(f: BooleanFunction, r: int) -> np.ndarray:
     values of f_i + u over the words v, the halves combine by the min-plus
     XOR convolution into C[u, v], and the table is C transposed.
 
-    Periods: if f o tau_c + f lies in RM(r, n) (tau_c: x -> x + c), let
-    sigma(c) be its degree-r word.  nl_{r-1} ignores translations and terms
-    of degree < r, and g o tau_c = g + (terms of degree < r), so
-    T[g] = T[g ^ sigma(c)].  The periods form a group on which sigma is
-    linear, so the rows of C fall into the cosets u + span{u_c} of its u
-    parts; the min-plus runs on one row per coset and the others are
-    copies with their columns shifted (`_row_classes`).  Tables whose rows
-    take the Walsh path look for periods; without any, every row is its
-    own class.
+    Symmetries: let L(x) = P x + c, P a permutation of x_1..x_{n-1} and c
+    a translation, with f o L + f in RM(r, n), and sigma = sigma_u + x_n *
+    sigma_v its degree-r word.  nl_{r-1} is invariant under L and ignores
+    terms of degree < r, and T_r(g o L) = g^P, g relabelled by P, so T[g] =
+    T[g^P ^ sigma].  As P fixes x_n, (u + x_n * v)^P = u^P + x_n * v^P, so
+
+        C[u, v] = C[u^P ^ sigma_u, v^P ^ sigma_v]:
+
+    rows go to rows, and columns are relabelled, then shifted.  The
+    translations (P = id) give C[u ^ sigma_u, v ^ sigma_v] = C[u, v].  The
+    min-plus runs on the least row of each orbit of these maps, and the
+    other rows are copies with their columns mapped (`_row_orbits`).  Only
+    tables whose rows take the Walsh path search for symmetries
+    (`_symmetries`); with the identity alone, every row is its own orbit.
     """
     n = f.n
     if not 2 <= r <= n:
@@ -387,8 +444,8 @@ def nl_table_values(f: BooleanFunction, r: int) -> np.ndarray:
     nu, width = comb(n - 1, r), 1 << comb(n - 1, r - 1)
     rows = slice(None)  # every row of C
     if width > _BROADCAST_WIDTH:
-        rep, shift = _row_classes(f, r)
-        rows = np.flatnonzero(rep == np.arange(1 << nu))
+        rep, perm, shift = _row_orbits(f, r)
+        rows = np.flatnonzero(np.bincount(rep, minlength=1 << nu))
     halves = split(f)
     if r == 3:
         ttu = _word_tts(n - 1, 3)[rows]
@@ -401,13 +458,16 @@ def nl_table_values(f: BooleanFunction, r: int) -> np.ndarray:
     c = _minplus_rows(n1, n2)
     if c.shape[0] == 1 << nu:
         return c.T.ravel()
-    # out[v, u] = C[rep(u), v ^ shift(u)], the table as a (v, u) matrix,
-    # filled 16 columns at a time (an index of width x 16 intp)
-    flat, span = c.ravel(), np.arange(width)[:, None]
+    # out[v, u] = C[rep(u), v^P ^ shift(u)], the table as a (v, u) matrix,
+    # filled 16 columns at a time (an index of width x 16 intp) from the
+    # column images of the permutations in use
+    used = np.flatnonzero(np.bincount(perm))
+    slot = np.searchsorted(used, perm)
+    cols, flat = _word_images(n, r - 1, used), c.ravel()
     base = np.searchsorted(rows, rep) * width
     out = np.empty((width, 1 << nu), dtype=np.uint8)
     for s in range(0, 1 << nu, 16):
-        out[:, s:s + 16] = flat[base[s:s + 16] + (span ^ shift[s:s + 16])]
+        out[:, s:s + 16] = flat[base[s:s + 16] + (cols[:, slot[s:s + 16]] ^ shift[s:s + 16])]
     return out.ravel()
 
 

@@ -250,7 +250,7 @@ def test_order4_table_matches_recursion(rng):
 
 
 # ---------------------------------------------------------------------------
-# translation periods of the table rows
+# symmetries of the table rows
 # ---------------------------------------------------------------------------
 
 
@@ -264,44 +264,124 @@ def test_canonical_index_splits_along_top_variable(n, r):
     assert MonomialSet.of(n, r).members == low + tuple(m | top for m in high)
 
 
-def _periods_by_definition(f):
-    """c -> T_3(f o tau_c + f) over the c whose translate keeps the coset key."""
+def _affine(p, c):
+    """x -> P x + c with (P x)_j = x_{p[j]}, as a map over GF(2)^6."""
     from rmcover.field import AffineMap
+
+    rows = tuple(tuple(int(k == p[j]) for k in range(6)) for j in range(6))
+    return AffineMap(2, 6, rows, tuple(c >> i & 1 for i in range(6)))
+
+
+def _perm_of(i):
+    """The variable permutation of row i of `_variable_perms(6)`."""
+    return [int(m).bit_length() - 1 for m in nl._variable_perms(6)[0][i, 1 << np.arange(6)]]
+
+
+def _symmetries_by_definition(f):
+    """(p, c, T_3(f o L + f)) over the 120 * 64 maps L = (P, c) that keep the coset key."""
     from rmcover.orbit import coset_key
 
-    ident = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
-    out = {}
-    for c in range(1, 64):
-        moved = bf.apply_affine(f, AffineMap(2, 6, ident, tuple(c >> i & 1 for i in range(6))))
-        if coset_key(moved) == coset_key(f):
-            out[c] = MonomialSet.of(6, 3).anf_to_word(bf.homogeneous_part(moved + f, 3).anf)
+    ident = tuple(range(6))
+    translates = [bf.apply_affine(f, _affine(ident, c)) for c in range(64)]
+    perms = [_affine(_perm_of(i), 0) for i in range(120)]
+    out = set()
+    for i, P in enumerate(perms):
+        for c, h in enumerate(translates):
+            moved = bf.apply_affine(h, P)  # f(P x + c)
+            if coset_key(moved) == coset_key(f):
+                word = MonomialSet.of(6, 3).anf_to_word(bf.homogeneous_part(moved + f, 3).anf)
+                out.add((i, c, word))
     return out
 
 
+def _symmetrized_base(rng):
+    """h + h o P for a random truth table h and P = (x1 x2)(x3 x4): P fixes it."""
+    h = BooleanFunction.from_tt(6, int(rng.integers(0, 1 << 63)))
+    return h + bf.apply_affine(h, _affine((1, 0, 3, 2, 4, 5), 0))
+
+
+def _search(f):
+    return set(zip(*(a.tolist() for a in nl._symmetries(f, 3))))
+
+
+def test_variable_perms_are_the_permutations_of_five_variables():
+    table, inverse = nl._variable_perms(6)
+    assert table.shape == inverse.shape == (120, 64) and not table.flags.writeable
+    perms = [tuple(_perm_of(i)) for i in range(120)]
+    assert perms[0] == tuple(range(6)) and len(set(perms)) == 120
+    assert all(p[5] == 5 for p in perms)
+    for i, p in enumerate(perms):
+        masks = [sum(1 << p[j] for j in range(6) if m >> j & 1) for m in range(64)]
+        assert table[i].tolist() == masks
+        assert (table[i][inverse[i]] == np.arange(64)).all()
+
+
 def test_periods_match_definition(rng):
+    # the translations of the search (P = id) against coset keys of the
+    # translates alone
     bases = [fn_rep(i) for i in range(11)] + [_random_base(rng, d) for d in (4, 5, 6)
                                               for _ in range(3)]
+    ident = tuple(range(6))
     for f in bases:
-        assert nl._periods(f, 3) == _periods_by_definition(f)
+        want = {}
+        for c in range(1, 64):
+            moved = bf.apply_affine(f, _affine(ident, c))
+            if bf.degree(moved + f) <= 3:
+                want[c] = MonomialSet.of(6, 3).anf_to_word(bf.homogeneous_part(moved + f, 3).anf)
+        assert {c: w for p, c, w in _search(f) if p == 0 and c} == want
     # every translation below degree 5, exactly one at degree 5, none at 6
-    assert [len(nl._periods(f, 3)) for f in bases[11:]] == [63] * 3 + [1] * 3 + [0] * 3
+    counts = [sum(1 for p, c, _ in _search(f) if p == 0 and c) for f in bases[11:]]
+    assert counts == [63] * 3 + [1] * 3 + [0] * 3
 
 
-def test_tables_without_periods_are_identical(monkeypatch, rng):
-    # the same bytes from every row computed: fn_1-fn_6, a degree-5 base and
-    # the (6,4) table of a degree-5 base
-    cases = [(fn_rep(i), 3) for i in range(1, 7)] + [(_random_base(rng, 5), 3),
-                                                     (_random_base(rng, 5), 4)]
-    assert all(nl._periods(f, r) for f, r in cases)
-    with_periods = [nl.nl_table_values(f, r) for f, r in cases]
-    monkeypatch.setattr(nl, "_periods", lambda f, r: {})
-    for (f, r), want in zip(cases, with_periods):
+def test_symmetries_match_definition(rng):
+    # the search against every one of the 120 * 64 maps by apply_affine and
+    # coset_key: four class representatives, random bases of degree 4, 5 and
+    # 6, and a random base symmetrized under a non-identity permutation
+    bases = [fn_rep(i) for i in (2, 6, 9, 10)] + [_random_base(rng, d) for d in (4, 5, 6)]
+    bases.append(_symmetrized_base(rng))
+    sizes = []
+    for f in bases:
+        found = _search(f)
+        assert found == _symmetries_by_definition(f)
+        sizes.append(len(found))
+    assert sizes[:4] == [256, 16, 4, 8]
+    assert sizes[-1] > 1 and any(p for p, _, _ in _search(bases[-1]))
+
+
+@pytest.mark.parametrize("which", [6, 10, "symmetrized"])
+def test_symmetries_preserve_the_table(rng, tables, which):
+    # T[g] = T[T_3(g o L) + T_3(f o L + f)] over all 2^20 words, for every
+    # symmetry L found, by the induced word action (no table kernel inside)
+    if which == "symmetrized":
+        f = _symmetrized_base(rng)
+        values = nl.nl_table_values(f, 3)
+    else:
+        f, values = fn_rep(which), tables[which].values
+    words = np.arange(1 << 20, dtype=np.uint32)
+    found = _search(f)
+    assert len(found) > 1
+    for p, c, _ in found:
+        L = _affine(_perm_of(p), c)
+        moved = nl.transform_words(words, 6, 3, L, bf.apply_affine(f, L) + f)
+        assert np.array_equal(values[moved], values)
+
+
+def test_tables_without_periods_are_identical(monkeypatch, rng, tables):
+    # the same bytes with the search cut down to the identity: fn_0-fn_10,
+    # a symmetrized random base and the (6,4) table of a degree-5 base
+    cases = [(_symmetrized_base(rng), 3), (_random_base(rng, 5), 4)]
+    with_symmetries = [tables[i].values for i in range(11)]
+    with_symmetries += [nl.nl_table_values(f, r) for f, r in cases]
+    assert all(len(nl._symmetries(f, r)[0]) > 1 for f, r in cases)
+    identity = tuple(np.zeros(1, dtype=np.int64) for _ in range(3))
+    monkeypatch.setattr(nl, "_symmetries", lambda f, r: identity)
+    cases = [(fn_rep(i), 3) for i in range(11)] + cases
+    for (f, r), want in zip(cases, with_symmetries):
         assert np.array_equal(nl.nl_table_values(f, r), want)
 
 
-def test_period_row_counts(monkeypatch):
-    # the min-plus runs on one row per class: 1,024 / 32 for fn_2, / 2 for
-    # fn_6, every row for fn_10, which has no period
+def _count_minplus_rows(monkeypatch, classes):
     seen = []
     minplus = nl._minplus_rows
 
@@ -310,18 +390,56 @@ def test_period_row_counts(monkeypatch):
         return minplus(n1, n2)
 
     monkeypatch.setattr(nl, "_minplus_rows", counted)
-    for i in (2, 6, 10):
+    for i in classes:
         nl.nl_table_values(fn_rep(i), 3)
-    assert seen == [32, 512, 1024]
+    return seen
+
+
+def test_period_row_counts(monkeypatch):
+    # the min-plus runs on one row per orbit: 14 of 1,024 rows for fn_2, 102
+    # for fn_6, 186 for fn_10 and 34 for fn_0; with the permutations left
+    # out (translations only), 1,024 / 32 for fn_2, / 2 for fn_6, and every
+    # row for fn_10, which has no translation
+    assert _count_minplus_rows(monkeypatch, (2, 6, 10, 0)) == [14, 102, 186, 34]
+    search = nl._symmetries
+
+    def translations(f, r):
+        p, c, sigma = search(f, r)
+        return p[p == 0], c[p == 0], sigma[p == 0]
+
+    monkeypatch.setattr(nl, "_symmetries", translations)
+    assert _count_minplus_rows(monkeypatch, (2, 6, 10)) == [32, 512, 1024]
+
+
+def _digest_with(monkeypatch, i, found):
+    """sha256 of fn_i's table built from the search result `found`."""
+    monkeypatch.setattr(nl, "_symmetries", lambda f, r: found)
+    return hashlib.sha256(nl.nl_table_values(fn_rep(i), 3).tobytes()).hexdigest()
 
 
 def test_class_table_digest_sees_a_wrong_period(monkeypatch):
-    # negative control: fn_6's one period with one bit of its word flipped
-    periods = {c: w ^ 1 for c, w in nl._periods(fn_rep(6), 3).items()}
-    assert len(periods) == 1
-    monkeypatch.setattr(nl, "_periods", lambda f, r: periods)
-    forged = nl.nl_table_values(fn_rep(6), 3)
-    assert hashlib.sha256(forged.tobytes()).hexdigest() != CLASS_TABLE_SHA256[6]
+    # negative control: fn_6's one translation with one bit of its word flipped
+    p, c, sigma = nl._symmetries(fn_rep(6), 3)
+    period = (p == 0) & (c != 0)
+    assert period.sum() == 1
+    assert _digest_with(monkeypatch, 6, (p, c, sigma ^ period)) != CLASS_TABLE_SHA256[6]
+
+
+def test_class_table_digest_sees_a_wrong_symmetry(monkeypatch):
+    # negative controls on fn_10's eight symmetries, none a translation: a
+    # non-symmetry added, and one bit flipped in the word of a real one
+    f = fn_rep(10)
+    p, c, sigma = nl._symmetries(f, 3)
+    assert len(p) == 8 and not c.any()
+    swap = next(i for i in range(120) if _perm_of(i) == [1, 0, 2, 3, 4, 5])
+    moved = bf.apply_affine(f, _affine(_perm_of(swap), 0))
+    assert bf.degree(moved + f) > 3  # x1 <-> x2 does not fix fn_10's coset
+    word = MonomialSet.of(6, 3).anf_to_word(bf.homogeneous_part(moved + f, 3).anf)
+    at = np.searchsorted(p, swap)
+    added = np.insert(p, at, swap), np.insert(c, at, 0), np.insert(sigma, at, word)
+    assert _digest_with(monkeypatch, 10, added) != CLASS_TABLE_SHA256[10]
+    flipped = p, c, sigma ^ (np.arange(8) == 1)
+    assert _digest_with(monkeypatch, 10, flipped) != CLASS_TABLE_SHA256[10]
 
 
 def _minplus_definition(n1, n2):
