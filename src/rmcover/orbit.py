@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boolfn import BooleanFunction, MonomialSet, apply_affine, rref, xor_span
+from .boolfn import BooleanFunction, MonomialSet, apply_affine, monomial_masks, rref, xor_span
 from .classify import NUM_CLASSES, fn_rep
 from .field import AffineMap, agl_generators
 from .nonlin import artifact_meta, read_artifact, save_artifact
@@ -66,7 +66,8 @@ __all__ = [
     "MatrixSet",
     "gf2_pack_rows",
     "gf2_unpack_keys",
-    "gf2_invert_rows",
+    "gf2_minors",
+    "gf2_det",
 ]
 
 _KEYS = MonomialSet(6, tuple(m for m in range(64) if m.bit_count() >= 4))
@@ -95,56 +96,64 @@ def coset_act(key: int, L: AffineMap) -> int:
     return coset_key(apply_affine(key_lift(key), L))
 
 
-def _rows_of(L: AffineMap) -> tuple[int, ...]:
-    return tuple(sum(e << j for j, e in enumerate(row)) for row in L.A)
+def _row_map(L: AffineMap) -> np.ndarray:
+    """Entry r | r' << 6: the row masks r A | r' A << 6 of L's matrix A."""
+    one = xor_span([sum(e << j for j, e in enumerate(row)) for row in L.A], np.uint64)
+    return (one | one[:, None] << 6).reshape(-1)
+
+
+_ROW_SHIFTS = np.arange(0, 36, 6, dtype=np.uint64)
 
 
 def gf2_pack_rows(rows: np.ndarray) -> np.ndarray:
     """(N, 6) row masks -> uint64 keys, bit 6*i+j = entry (i, j)."""
-    keys = np.zeros(rows.shape[0], dtype=np.uint64)
-    for i in range(6):
-        keys |= rows[:, i].astype(np.uint64) << np.uint64(6 * i)
-    return keys
+    return np.bitwise_or.reduce(rows.astype(np.uint64) << _ROW_SHIFTS, axis=1)
 
 
 def gf2_unpack_keys(keys: np.ndarray) -> np.ndarray:
     """uint64 keys -> (N, 6) row masks."""
-    k = np.asarray(keys, dtype=np.uint64)
-    rows = np.empty((k.shape[0], 6), dtype=np.uint8)
-    for i in range(6):
-        rows[:, i] = (k >> np.uint64(6 * i)) & np.uint64(63)
-    return rows
+    return (np.asarray(keys, dtype=np.uint64)[:, None] >> _ROW_SHIFTS & 63).astype(np.uint8)
 
 
-def gf2_invert_rows(rows: np.ndarray) -> np.ndarray:
-    """Batched GF(2) inversion of 6x6 matrices given as (N, 6) row masks."""
-    out = np.empty((rows.shape[0], 6), dtype=np.uint8)
-    for s in range(0, rows.shape[0], 1 << 14):  # keeps the temporaries ~1 MB
-        out[s:s + (1 << 14)] = _invert_block(rows[s:s + (1 << 14)])
-    return out
+@lru_cache(maxsize=None)
+def gf2_minors() -> np.ndarray:
+    """The 3x3 minors of every 3x6 GF(2) matrix (read-only uint32), indexed
+    by its packed rows a | b << 6 | c << 12.  Bit i is the minor on the
+    columns of cubic monomial 19 - i, the complement of cubic i.  Expanded
+    along row c, the minor on columns J is the XOR over j in J of c_j times
+    the 2x2 minor of a, b on J - {j}; so the table is the XOR span, over the
+    bits of c, of six 4096-entry arrays indexed by a | b << 6.
+    """
+    ab = np.arange(1 << 12, dtype=np.uint32)
+    a, b = ab & 63, ab >> 6
+    parts = np.zeros((6, ab.size), dtype=np.uint32)
+    for i, m in enumerate(reversed(monomial_masks(6, 3))):
+        cols = [j for j in range(6) if m >> j & 1]
+        for j in cols:
+            p, q = (k for k in cols if k != j)
+            parts[j] |= ((a >> p & b >> q ^ a >> q & b >> p) & 1) << i
+    return xor_span(parts, np.uint32).reshape(-1)
 
 
-def _invert_block(rows: np.ndarray) -> np.ndarray:
-    n = 6
-    aug = rows.astype(np.uint16) | (np.uint16(64) << np.arange(n, dtype=np.uint16))
-    idx = np.arange(aug.shape[0])
-    for col in range(n):
-        cand = (aug[:, col:] >> col) & 1
-        if not cand.any(axis=1).all():
-            raise ValueError("matrix set contains a singular matrix")
-        piv = cand.argmax(axis=1) + col
-        pivrow = aug[idx, piv]
-        aug[idx, piv] = aug[:, col]
-        aug[:, col] = pivrow
-        sel = ((aug >> col) & 1).astype(np.uint16)
-        sel[:, col] = 0
-        aug ^= sel * aug[:, col][:, None]
-    return ((aug >> 6) & 63).astype(np.uint8)
+def gf2_det(keys: np.ndarray) -> np.ndarray:
+    """The determinants (uint8) of packed keys below 2^36; see `MatrixSet`."""
+    minors = gf2_minors()
+    top = minors[keys & (1 << 18) - 1]
+    rev = xor_span([1 << 19 - j for j in range(10)], np.uint32)  # bit j -> 19 - j
+    top = rev[top & 1023] | rev[top >> 10] >> 10
+    return np.bitwise_count(top & minors[keys >> 18]) & 1
 
 
 @dataclass(frozen=True)
 class MatrixSet:
-    """Deduplicated invertible GF(2) matrices, sorted by packed key."""
+    """Deduplicated invertible GF(2) matrices, sorted by packed key.
+
+    A key's low 18 bits are rows 0-2 and its high 18 bits rows 3-5, each a
+    `gf2_minors` index.  Laplace's expansion along rows 0-2 gives det A as
+    the XOR over column triples J of det A[012, J] * det A[345, J^c]; the
+    table's bit i holds the minor on cubic 19 - i, so with the low rows'
+    word bit-reversed, det A is the parity of the AND of the two words.
+    """
 
     members: np.ndarray  # contiguous little-endian uint64 (hashed, saved), ascending
 
@@ -153,15 +162,10 @@ class MatrixSet:
         object.__setattr__(self, "members", m)
         if m.ndim != 1 or (m[1:] <= m[:-1]).any():
             raise ValueError("matrix keys must be strictly ascending")
-        for s in range(0, m.size, 1 << 12):  # keeps the spans 256 KB
-            rows = gf2_unpack_keys(m[s:s + (1 << 12)])
-            # every row combination, indexed by its mask: invertible iff
-            # only the empty combination is zero
-            span = np.zeros((rows.shape[0], 64), dtype=np.uint8)
-            for i in range(6):
-                span[:, 1 << i:2 << i] = span[:, :1 << i] ^ rows[:, i:i + 1]
-            if not span[:, 1:].all():
-                raise ValueError("matrix set contains a singular matrix")
+        if m.size and m[-1] >> 36:
+            raise ValueError("matrix keys must be below 2^36")
+        if not gf2_det(m).all():
+            raise ValueError("matrix set contains a singular matrix")
         m.setflags(write=False)
 
     def __len__(self) -> int:
@@ -262,13 +266,13 @@ def bfs_orbit(start: int, gens: list[AffineMap],
     """
     _check_gens(gens)
     tables = [_KEYS.action(g) for g in gens]
-    grow_tabs = [xor_span(_rows_of(g), np.uint8) for g in gens]
+    grow_tabs = [_row_map(g) for g in gens]
     ngens = len(gens)
     pos_bits = (_CHUNK * ngens - 1).bit_length()  # a chunk's candidate positions
     visited = np.zeros(1 << (KEY_BITS - 3), dtype=np.uint8)  # one bit per key
 
     frontier_keys = np.array([start], dtype=np.uint32)
-    frontier_A = np.array([[1, 2, 4, 8, 16, 32]], dtype=np.uint8)
+    frontier_A = np.array([sum(1 << 7 * i for i in range(6))], dtype=np.uint64)  # identity
     frontier_offset = -1  # the seed level has no claim index
 
     matrices = np.empty(0, dtype=np.uint64)  # sorted, distinct
@@ -302,12 +306,13 @@ def bfs_orbit(start: int, gens: list[AffineMap],
             parent_idx = s + claim_pos // ngens
             gen_idx = claim_pos % ngens
             level_keys.append(cand_keys[claim_pos])
-            new_A = np.empty((claim_pos.size, 6), dtype=np.uint8)
-            for gi in range(ngens):
+            new_A = np.empty(claim_pos.size, dtype=np.uint64)
+            for gi, tab in enumerate(grow_tabs):  # rows 0-1, 2-3 and 4-5 at once
                 sel = np.flatnonzero(gen_idx == gi)
-                new_A[sel] = grow_tabs[gi][frontier_A[parent_idx[sel]]]
+                a = frontier_A[parent_idx[sel]]
+                new_A[sel] = tab[a & 4095] | tab[a >> 12 & 4095] << 12 | tab[a >> 24] << 24
             level_A.append(new_A)
-            pending.append(gf2_pack_rows(new_A))
+            pending.append(new_A)
             if sum(p.size for p in pending) > 1 << 17:
                 matrices = _sorted_distinct(np.concatenate([matrices, *pending]))
                 pending = []
@@ -325,13 +330,8 @@ def bfs_orbit(start: int, gens: list[AffineMap],
         frontier_A = np.concatenate(level_A)
 
     mset = MatrixSet(_sorted_distinct(np.concatenate([matrices, *pending])))
-    trans = None
-    if transcript:
-        trans = OrbitTranscript(
-            np.concatenate(t_keys) if t_keys else np.empty(0, np.uint32),
-            np.concatenate(t_parents) if t_parents else np.empty(0, np.int64),
-            np.concatenate(t_gens) if t_gens else np.empty(0, np.uint8),
-        )
+    trans = (OrbitTranscript(*map(np.concatenate, (t_keys, t_parents, t_gens)))
+             if transcript else None)  # every chunk appends to the lists
     return OrbitResult(claimed_total, mset, trans)
 
 

@@ -46,7 +46,7 @@ from .classify import (
 )
 from .field import AffineMap, SingularMatrixError, agl_generators
 from .nonlin import NlTable, nl_r_recursive
-from .orbit import MatrixSet, bfs_orbit, coset_key, gf2_invert_rows, gf2_unpack_keys
+from .orbit import MatrixSet, bfs_orbit, coset_key, gf2_minors
 
 __all__ = [
     "Verdict",
@@ -245,27 +245,26 @@ def _image_words(matrix_keys: np.ndarray, base_words: np.ndarray) -> np.ndarray:
     s(A^-1 x) for each base word s and each matrix A.
 
     Row a of A^-1 is a linear form l_a, so s(A^-1 x) replaces each cubic
-    monomial x_a x_b x_c of s by the product l_a l_b l_c.  Per matrix, the
-    truth table of l_a is an XOR of variable truth tables (one uint64 each);
-    the 20 cubic products are ANDs of three, and a six-stage Moebius
-    transform on each uint64 gives its ANF, whose 20 degree-3 coefficients
-    are the column of that monomial.  T_3 is linear, so the image of a base
-    word is the XOR of the columns of its set bits.
+    monomial x_I = x_a x_b x_c of s by l_a l_b l_c, whose coefficient of a
+    cubic x_J sums the products of entries of A^-1 over the bijections of I
+    onto J: the minor det A^-1[I, J] (a permanent, which is the determinant
+    over GF(2)).  Jacobi's complementary-minor identity, with det A = 1 and
+    no signs over GF(2), makes it det A[J^c, I^c] = det A^T[I^c, J^c].  So
+    the column of x_I, its 20 coefficients, is the `gf2_minors` entry of
+    rows I^c of A^T, whose bit for J is the minor on columns J^c.  T_3 is
+    linear, so the image of a base word is the XOR of its bits' columns.
     """
-    var = np.array([_variable_function(k).tt for k in range(1, 7)], dtype=np.uint64)
-    # (nmat, 6): the span of the variables, indexed by the row masks of A^-1
-    forms = xor_span(var, np.uint64)[gf2_invert_rows(gf2_unpack_keys(matrix_keys))]
-    cubics = monomial_masks(6, 3)
-    factors = [[a for a in range(6) if m >> a & 1] for m in cubics]
-    prods = np.bitwise_and.reduce(forms[:, factors], axis=2)  # (nmat, 20) truth tables
-    for d, v in enumerate(var):  # Moebius stage d: bit x into x + 2^d for x with bit d clear
-        prods ^= prods << np.uint64(1 << d) & v
-    cols = np.zeros(prods.shape, dtype=np.uint32)
-    for i, m in enumerate(cubics):
-        cols |= (prods >> np.uint64(m) & np.uint64(1)).astype(np.uint32) << i
-    out = np.zeros((base_words.size, matrix_keys.shape[0]), dtype=np.uint32)
-    for k, col in enumerate(cols.T):
-        out[base_words >> k & 1 != 0] ^= col
+    spread = xor_span([1 << 6 * j for j in range(6)], np.uint64)  # bit j -> bit 6j
+    t = np.bitwise_or.reduce([spread[matrix_keys >> 6 * i & 63] << i for i in range(6)])
+    rows = [(t >> 6 * j & 63).astype(np.intp) for j in range(6)]  # the rows of A^T
+    minors = gf2_minors()
+    cols = np.empty((20, t.size), dtype=np.uint32)
+    for i, m in enumerate(monomial_masks(6, 3)):
+        a, b, c = (rows[j] for j in range(6) if not m >> j & 1)
+        cols[i] = minors[a | b << 6 | c << 12]
+    out = np.empty((base_words.size, t.size), dtype=np.uint32)
+    for w, s in zip(out, base_words.tolist()):
+        np.bitwise_xor.reduce(cols[[k for k in range(20) if s >> k & 1]], axis=0, out=w)
     return out
 
 
@@ -325,10 +324,11 @@ def _sweep_shard(matrix_keys: np.ndarray, base_words: np.ndarray,
     first = np.empty(nmat, dtype=np.uint32)
     pivots = np.empty(nmat, dtype=np.uint32)
     rows = np.empty((nmat, base_words.size - 1), dtype=np.uint32)
-    for s in range(0, nmat, 1024):  # image blocks keep their temporaries small
-        words = _image_words(matrix_keys[s:s + 1024], base_words)
-        first[s:s + 1024] = words[0]
-        pivots[s:s + 1024], rows[s:s + 1024] = _pivot_rows(words.T)
+    for s in range(0, nmat, 4096):  # blocks keep their temporaries small
+        words = _image_words(matrix_keys[s:s + 4096], base_words)
+        first[s:s + 4096] = words[0]
+        for p in range(s, min(s + 4096, nmat), 1024):
+            pivots[p:p + 1024], rows[p:p + 1024] = _pivot_rows(words[:, p - s:p - s + 1024].T)
     walk = _lex_order(rows)
     rows = rows[walk]
     differs = rows[1:] != rows[:-1]

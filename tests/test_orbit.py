@@ -10,6 +10,8 @@ from rmcover.classify import classify_coset, fn_rep
 from rmcover.field import AffineMap, compose
 from rmcover.verify import random_affine_map
 
+import gf2_reference
+
 
 def test_coset_key_examples():
     assert ob.coset_key(fn_rep(0)) == 0
@@ -225,7 +227,7 @@ def test_transcript_word_for_absent_key(fn10_orbit):
 
 def test_matrix_set_members_invertible(matrix_set):
     rows = matrix_set.rows()
-    inv = ob.gf2_invert_rows(rows)
+    inv = gf2_reference.gf2_invert_rows(rows)
     # A * A^-1 = I, batched
     prod = np.zeros_like(rows)
     for i in range(6):
@@ -248,7 +250,46 @@ def test_matrix_set_rejects_singular_member(matrix_set):
 def test_gf2_invert_rejects_singular():
     singular = np.array([[3, 3, 4, 8, 16, 32]], dtype=np.uint8)
     with pytest.raises(ValueError):
-        ob.gf2_invert_rows(singular)
+        gf2_reference.gf2_invert_rows(singular)
+
+
+def test_gf2_minors_match_definition(rng):
+    # bit i of entry a | b << 6 | c << 12 is the 3x3 minor of rows a, b, c
+    # on the columns of cubic 19 - i, by the cofactor formula
+    minors = ob.gf2_minors()
+    assert (minors.dtype, minors.shape, minors.flags.writeable) == (np.uint32, (1 << 18,), False)
+    cubics = monomial_masks(6, 3)
+    for idx in [0, (1 << 18) - 1, *rng.integers(0, 1 << 18, size=300).tolist()]:
+        a, b, c = ([r >> j & 1 for j in range(6)] for r in (idx & 63, idx >> 6 & 63, idx >> 12))
+        for i, m in enumerate(cubics):
+            p, q, r = (j for j in range(6) if cubics[19 - i] >> j & 1)
+            det = (a[p] * (b[q] * c[r] + b[r] * c[q]) + a[q] * (b[p] * c[r] + b[r] * c[p])
+                   + a[r] * (b[p] * c[q] + b[q] * c[p])) % 2
+            assert int(minors[idx]) >> i & 1 == det
+
+
+def test_gf2_det_matches_span_check(matrix_set, rng):
+    # the Laplace determinant against the span test: 200,000 random keys,
+    # and every one-bit corruption of 2,000 sampled set members
+    keys = rng.integers(0, 1 << 36, size=200_000, dtype=np.uint64)
+    det = ob.gf2_det(keys)
+    span = gf2_reference.span_invertible(keys)
+    assert np.array_equal(det, span.astype(np.uint8))
+    assert 0.2 < span.mean() < 0.4  # about 29% of 6x6 GF(2) matrices are invertible
+    members = rng.choice(matrix_set.members, size=2000)
+    flipped = (members[:, None] ^ np.uint64(1) << np.arange(36, dtype=np.uint64)).ravel()
+    assert np.array_equal(ob.gf2_det(flipped),
+                          gf2_reference.span_invertible(flipped).astype(np.uint8))
+    assert ob.gf2_det(members).all()
+
+
+def test_matrix_set_rejects_wide_keys():
+    ident = ob.gf2_pack_rows(np.array([[1, 2, 4, 8, 16, 32]], dtype=np.uint8))[0]
+    assert len(ob.MatrixSet(np.array([ident, ident | np.uint64(1) << np.uint64(30)]))) == 2
+    with pytest.raises(ValueError, match="below 2"):
+        ob.MatrixSet(np.array([ident, ident | np.uint64(1) << np.uint64(40)]))
+    with pytest.raises(ValueError, match="below 2"):
+        ob.MatrixSet(np.array([np.uint64(1) << np.uint64(63)]))
 
 
 def test_ams_round_trip(tmp_path, matrix_set):

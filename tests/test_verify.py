@@ -19,6 +19,8 @@ from rmcover.nonlin import (
 )
 from rmcover.orbit import MatrixSet, gf2_unpack_keys
 
+import gf2_reference
+
 
 def test_check_29(tables):
     v = vf.check_29(tables[2], tables[9])
@@ -183,7 +185,8 @@ def _reference_images(keys, base):
 def test_image_words_pinned(matrix_set, tables):
     # the images of fn_6's bottom level set under every matrix of the set,
     # in blocks of 4096 matrices, as <u4 bytes of the (32, 130844) array;
-    # and every 1000th matrix against the one-matrix-at-a-time reference
+    # every matrix against the inversion and Moebius-transform engine, and
+    # every 1000th against the one-matrix-at-a-time reference
     base = tables[6].level_set(6)
     keys = matrix_set.members
     words = np.concatenate([vf._image_words(keys[s:s + 4096], base)
@@ -192,8 +195,23 @@ def test_image_words_pinned(matrix_set, tables):
     digest = hashlib.sha256(np.ascontiguousarray(words, dtype="<u4").tobytes())
     assert digest.hexdigest() == (
         "7822ca21157cdd60715ce3ab528ae9be06377cf06264a0e211b26d8e156771b4")
+    for s in range(0, keys.size, 4096):
+        assert np.array_equal(words[:, s:s + 4096], gf2_reference.image_words(
+            keys[s:s + 4096], base))
     reference = _reference_images(keys[::1000], base)
     assert np.array_equal(words[:, ::1000], np.array(reference).T)
+
+
+def test_image_words_of_one_matrix_and_odd_blocks(matrix_set, tables):
+    # block sizes that are not multiples of anything, and base words with
+    # 0 and 20 set bits
+    keys = matrix_set.members[::997]
+    base = np.concatenate([tables[6].level_set(6)[:5], [0, (1 << 20) - 1]]).astype(np.uint32)
+    for size in (1, 7, keys.size):
+        got = vf._image_words(keys[:size], base)
+        assert got.shape == (base.size, size)
+        assert np.array_equal(got, gf2_reference.image_words(keys[:size], base))
+    assert not vf._image_words(keys, base)[5].any()
 
 
 def test_identity_slice_from_tables_alone(tables):
