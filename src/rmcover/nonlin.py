@@ -19,9 +19,9 @@ more along its top variable, so the order-1 values over every (u, w) pair
 are a max-plus XOR convolution of gathers from one cached uint8 table of
 |W| for every 4-variable function, with no GEMM.  The two half-tables
 combine by a min-plus XOR convolution, evaluated as a threshold convolution
-in the Walsh domain (float32 forward and float64 inverse GEMMs) that tests
-only the candidate sums below an attained upper bound; rows of width <= 64
-take a direct broadcast minimum.
+in the Walsh domain (float32 GEMMs) that tests only the candidate sums
+below an attained upper bound; rows of width <= 64 take a direct broadcast
+minimum.
 
 An affine map L(x) = P x + c, with P a permutation of x_1..x_{n-1} and c
 any translation, that fixes f's coset mod RM(r, n) is a symmetry of f's
@@ -287,8 +287,17 @@ def _minplus_walsh(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
     j] layout (word = i*Q + j).  Forward transforms are at most width, and
     as the A_x have disjoint supports every Walsh-domain sum is at most
     width^2, so they are exact in float32 up to width 2^12 (float64 beyond).
-    Every partial sum of the inverse transform is at most width^3 (2^30 for
-    width 1024), so the float64 inverse is exact.
+
+    The inverse is width times a count, so 0 or at least width, and only
+    its zeros matter: it runs in the forward dtype and tests <= width / 2.
+    By Cauchy-Schwarz and Parseval (||FA_x||^2 = width |A_x|, ||FB||^2 <=
+    width^2), sum_a |acc(a)| <= width^2 sqrt(L) over L levels x.  The
+    products with +-1 are exact, and summation in any order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, Lemmas
+    3.1 and 3.3) keeps the error of the two GEMM stages within about
+    (P + Q) 2^-24 times that in float32: 17 at width 1024 and 17 levels,
+    against 512.  Where 2 (P + Q) width sqrt(L) < 2^24 fails, the inverse
+    runs in float64, in which every partial sum (at most width^3) is exact.
     """
     if not top:
         return np.zeros_like(a)
@@ -313,8 +322,10 @@ def _minplus_walsh(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
     for i, s in enumerate(sums):
         for k, x in enumerate(lv1[lv1 <= s]):
             acc[i] += fa[k] * fb[np.searchsorted(lv2, s - x, side="right") - 1]
+    if 2 * (p + q) * width * len(lv1) ** 0.5 >= 1 << 24:
+        acc = acc.astype(np.float64, copy=False)
     # a hit at one candidate stays a hit at every larger one
-    first = (wht(acc.astype(np.float64)) <= 0).sum(axis=0)
+    first = (wht(acc) <= width // 2).sum(axis=0)
     return np.append(sums, top)[first].transpose(1, 0, 2).reshape(rows, width)
 
 
@@ -480,10 +491,7 @@ def nl_r_recursive(f: BooleanFunction, r: int) -> int:
     """Exact nl_r by the split recursion over homogeneous shifts."""
     if not 2 <= r <= f.n - 1:
         raise ValueError(f"recursive order r={r} out of range 2..{f.n - 1}")
-    f1, f2 = split(f)
-    a = nl_table_values(f1, r)
-    b = nl_table_values(f2, r)
-    return int((a.astype(np.uint16) + b).min())
+    return int(_table_sum(f.n - 1, *(nl_table_values(h, r) for h in split(f))).min())
 
 
 def nl_r(f: BooleanFunction, r: int) -> int:
@@ -558,6 +566,11 @@ class NlTable:
             raise ValueError(
                 f"value array has {self.values.shape} entries, expected {expect}"
             )
+        if self.values.dtype != np.uint8:
+            raise ValueError(f"value array has dtype {self.values.dtype}, expected uint8")
+        top = int(self.values.max())
+        if top > 1 << self.base.n - 1:
+            raise ValueError(f"value {top} exceeds 2^(n-1) = {1 << self.base.n - 1}")
         self.values.setflags(write=False)
 
     @property
@@ -708,11 +721,19 @@ def check_covering_condition(t1: NlTable, t2: NlTable, t: int) -> CoveringVerdic
     if (t1.n, t1.r) != (t2.n, t2.r):
         raise ValueError("tables have mismatched (n, r)")
     v1 = t1.values
-    bad = np.flatnonzero(v1.astype(np.uint16) + t2.values < t)
-    if not bad.size:
+    total = _table_sum(t1.n, v1, t2.values)
+    if int(total.min()) >= t:
         return CoveringVerdict(True)
+    bad = np.flatnonzero(total < t)
     g = bad[np.argmin(v1[bad])]
     return CoveringVerdict(False, int(v1[g]), int(g))
+
+
+def _table_sum(n: int, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """v1 + v2 for two value arrays of n-variable functions.  An nl_{r-1}
+    value is at most 2^(n-1) (`NlTable` checks it), so up to n = 7 no sum
+    exceeds 2^n <= 128 and the uint8 sum is exact."""
+    return (v1 if n <= 7 else v1.astype(np.uint16)) + v2
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,6 @@ __all__ = [
     "orbit_lengths",
     "all_orbit_lengths",
     "MatrixSet",
-    "gf2_pack_rows",
-    "gf2_unpack_keys",
     "gf2_minors",
     "gf2_det",
 ]
@@ -102,19 +100,6 @@ def _row_map(L: AffineMap) -> np.ndarray:
     return (one | one[:, None] << 6).reshape(-1)
 
 
-_ROW_SHIFTS = np.arange(0, 36, 6, dtype=np.uint64)
-
-
-def gf2_pack_rows(rows: np.ndarray) -> np.ndarray:
-    """(N, 6) row masks -> uint64 keys, bit 6*i+j = entry (i, j)."""
-    return np.bitwise_or.reduce(rows.astype(np.uint64) << _ROW_SHIFTS, axis=1)
-
-
-def gf2_unpack_keys(keys: np.ndarray) -> np.ndarray:
-    """uint64 keys -> (N, 6) row masks."""
-    return (np.asarray(keys, dtype=np.uint64)[:, None] >> _ROW_SHIFTS & 63).astype(np.uint8)
-
-
 @lru_cache(maxsize=None)
 def gf2_minors() -> np.ndarray:
     """The 3x3 minors of every 3x6 GF(2) matrix (read-only uint32), indexed
@@ -148,8 +133,9 @@ def gf2_det(keys: np.ndarray) -> np.ndarray:
 class MatrixSet:
     """Deduplicated invertible GF(2) matrices, sorted by packed key.
 
-    A key's low 18 bits are rows 0-2 and its high 18 bits rows 3-5, each a
-    `gf2_minors` index.  Laplace's expansion along rows 0-2 gives det A as
+    Bit 6*i + j of a key is entry (i, j) of its matrix.  A key's low 18
+    bits are rows 0-2 and its high 18 bits rows 3-5, each a `gf2_minors`
+    index.  Laplace's expansion along rows 0-2 gives det A as
     the XOR over column triples J of det A[012, J] * det A[345, J^c]; the
     table's bit i holds the minor on cubic 19 - i, so with the low rows'
     word bit-reversed, det A is the parity of the AND of the two words.
@@ -170,9 +156,6 @@ class MatrixSet:
 
     def __len__(self) -> int:
         return int(self.members.shape[0])
-
-    def rows(self) -> np.ndarray:
-        return gf2_unpack_keys(self.members)
 
     def save(self, path, meta: dict | None = None) -> None:
         head = _AMS_MAGIC + len(self.members).to_bytes(4, "little")

@@ -348,7 +348,7 @@ def _sweep_shard(matrix_keys: np.ndarray, base_words: np.ndarray,
         for x in row[len(stack) - 1:]:
             if not alive.size:
                 break
-            alive = np.compress(allowed.take(alive ^ x), alive)
+            alive = alive.compress(allowed.take(alive ^ x))
             stack.append(alive)
         if alive.size:
             survivors[k] = alive

@@ -1,11 +1,23 @@
 """Independent GF(2) engines the tests check the library's table lookups
-against: batched Gauss-Jordan inversion, the span test of invertibility and
-the image words from truth tables and a Moebius transform."""
+against: the row packing of matrix keys, batched Gauss-Jordan inversion, the
+span test of invertibility and the image words from truth tables and a
+Moebius transform."""
 
 import numpy as np
 
 from rmcover.boolfn import BooleanFunction, monomial_masks, xor_span
-from rmcover.orbit import gf2_unpack_keys
+
+_ROW_SHIFTS = np.arange(0, 36, 6, dtype=np.uint64)
+
+
+def gf2_pack_rows(rows: np.ndarray) -> np.ndarray:
+    """(N, 6) row masks -> uint64 keys, bit 6*i+j = entry (i, j)."""
+    return np.bitwise_or.reduce(rows.astype(np.uint64) << _ROW_SHIFTS, axis=1)
+
+
+def gf2_unpack_keys(keys: np.ndarray) -> np.ndarray:
+    """uint64 keys -> (N, 6) row masks."""
+    return (np.asarray(keys, dtype=np.uint64)[:, None] >> _ROW_SHIFTS & 63).astype(np.uint8)
 
 
 def gf2_invert_rows(rows: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -211,3 +213,11 @@ def test_tables_5_reports_a_missing_orbit(capsys, monkeypatch):
     code, out, _ = run(capsys, "tables", "--which", "5")
     assert code == 1 and "MISMATCH against published values" in out
     assert f"sum = {(1 << 22) - 888832} " in out
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["rmcover", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("rmcover", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rmcover")

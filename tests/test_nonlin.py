@@ -515,6 +515,24 @@ def test_minplus_rows_matches_definition(rng, width):
     assert np.array_equal(nl._minplus_rows(n1, n2), _minplus_definition(n1, n2))
 
 
+def test_minplus_walsh_float32_inverse_matches_broadcast(rng):
+    # 1024-wide rows taking every even level up to 16, as the offset nl1
+    # matrices of the (6,3) tables do, then every level up to 16; low levels
+    # are rare, so the candidate sums spread out.  The inverse runs in
+    # float32 and tests <= width / 2.
+    rows, width = 16, 1024
+    for levels in (np.arange(0, 17, 2), np.arange(17)):
+        skew = 2.0 ** np.arange(levels.size)
+        a, b = (rng.choice(levels, size=(rows, width), p=skew / skew.sum()).astype(np.uint8)
+                for _ in range(2))
+        for row in (*a, *b):
+            row[rng.permutation(width)[:levels.size]] = levels
+        want = _minplus_definition(a, b)
+        assert np.unique(want).size > 4
+        for top in (int(want.max()), 32):
+            assert np.array_equal(nl._minplus_walsh(a, b, top), want)
+
+
 def _attained_bound(n1, n2):
     """min(n1(w1) + n2(w1 ^ v), n1(w2 ^ v) + n2(w2)) at the first row minima."""
     rows, width = n1.shape
@@ -620,6 +638,43 @@ def test_covering_reports_lowest_level_violator():
         v = nl.check_covering_condition(t1, t2, t)
         assert (v.holds, v.h, v.g_word) == (False, 3, 0xF0000)
     assert nl.check_covering_condition(t1, t2, 11).holds
+
+
+def _covering_reference(t1, t2, t):
+    """The verdict from a uint16 sum: the violators ordered by level, then word."""
+    total = t1.values.astype(np.uint16) + t2.values
+    bad = np.flatnonzero(total < t)
+    if not bad.size:
+        return True, None, None
+    g = bad[np.lexsort((bad, t1.values[bad]))[0]]
+    return False, int(t1.values[g]), int(g)
+
+
+def test_covering_matches_uint16_reference(rng, tables):
+    pairs = [(tables[6], tables[10]), (tables[10], tables[6])]
+    for _ in range(2):
+        pairs.append(tuple(nl.build_nl_table(BooleanFunction.from_tt(6, int(h)), 3)
+                           for h in rng.integers(0, 1 << 64, size=2, dtype=np.uint64)))
+    # every entry at 2^(n-1) = 32 on both sides: the largest sum, 64
+    top = nl.NlTable(BooleanFunction.zero(6), 3, np.full(1 << 20, 32, dtype=np.uint8))
+    pairs.append((top, top))
+    for t1, t2 in pairs:
+        nl3 = int((t1.values.astype(np.uint16) + t2.values).min())
+        for t in (nl3 - 1, nl3, nl3 + 1, 2 * t1.ml_prev + 1):
+            v = nl.check_covering_condition(t1, t2, t)
+            assert (v.holds, v.h, v.g_word) == _covering_reference(t1, t2, t)
+    assert not nl.check_covering_condition(top, top, 65).holds
+
+
+def test_nl_table_refuses_wide_or_out_of_range_values():
+    values = np.zeros(1 << 20, dtype=np.uint8)
+    values[7] = 32  # 2^(n-1), the largest nl_2 of a 6-variable function
+    nl.NlTable(BooleanFunction.zero(6), 3, values.copy())
+    values[7] = 33
+    with pytest.raises(ValueError, match="exceeds"):
+        nl.NlTable(BooleanFunction.zero(6), 3, values)
+    with pytest.raises(ValueError, match="dtype"):
+        nl.NlTable(BooleanFunction.zero(6), 3, np.zeros(1 << 20, dtype=np.uint16))
 
 
 def test_covering_rejects_mismatched_tables(tables):

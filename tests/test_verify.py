@@ -17,9 +17,10 @@ from rmcover.nonlin import (
     nl_r_recursive,
     transform_words,
 )
-from rmcover.orbit import MatrixSet, gf2_unpack_keys
+from rmcover.orbit import MatrixSet
 
 import gf2_reference
+from gf2_reference import gf2_pack_rows, gf2_unpack_keys
 
 
 def test_check_29(tables):
@@ -376,7 +377,6 @@ def test_sweep_prefix_reuse():
     # 0, x1x2x3 and 30 words without x1; the matrices that move only x1 fix
     # those 30 words.
     from rmcover.boolfn import monomial_masks
-    from rmcover.orbit import gf2_pack_rows
 
     no_x1 = [k for k, m in enumerate(monomial_masks(6, 3)) if not m & 1]
     v_words = sorted(sum(1 << no_x1[b] for b in range(10) if c >> b & 1)
