@@ -296,8 +296,9 @@ def _minplus_walsh(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
     Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, Lemmas
     3.1 and 3.3) keeps the error of the two GEMM stages within about
     (P + Q) 2^-24 times that in float32: 17 at width 1024 and 17 levels,
-    against 512.  Where 2 (P + Q) width sqrt(L) < 2^24 fails, the inverse
-    runs in float64, in which every partial sum (at most width^3) is exact.
+    against 512.  That holds while 2 (P + Q) width sqrt(L) < 2^24: the
+    offsets of values at most 2^(n-1) <= 64 (MAX_VARS = 7) give L <= 65,
+    so every float32 width, up to 2^12, is inside it (8.5e6 at 2^12).
     """
     if not top:
         return np.zeros_like(a)
@@ -322,8 +323,6 @@ def _minplus_walsh(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
     for i, s in enumerate(sums):
         for k, x in enumerate(lv1[lv1 <= s]):
             acc[i] += fa[k] * fb[np.searchsorted(lv2, s - x, side="right") - 1]
-    if 2 * (p + q) * width * len(lv1) ** 0.5 >= 1 << 24:
-        acc = acc.astype(np.float64, copy=False)
     # a hit at one candidate stays a hit at every larger one
     first = (wht(acc) <= width // 2).sum(axis=0)
     return np.append(sums, top)[first].transpose(1, 0, 2).reshape(rows, width)
@@ -491,7 +490,8 @@ def nl_r_recursive(f: BooleanFunction, r: int) -> int:
     """Exact nl_r by the split recursion over homogeneous shifts."""
     if not 2 <= r <= f.n - 1:
         raise ValueError(f"recursive order r={r} out of range 2..{f.n - 1}")
-    return int(_table_sum(f.n - 1, *(nl_table_values(h, r) for h in split(f))).min())
+    a, b = (nl_table_values(h, r) for h in split(f))
+    return int((a + b).min())  # uint8: the halves' values are <= 2^(n-2) <= 32
 
 
 def nl_r(f: BooleanFunction, r: int) -> int:
@@ -721,19 +721,14 @@ def check_covering_condition(t1: NlTable, t2: NlTable, t: int) -> CoveringVerdic
     if (t1.n, t1.r) != (t2.n, t2.r):
         raise ValueError("tables have mismatched (n, r)")
     v1 = t1.values
-    total = _table_sum(t1.n, v1, t2.values)
+    # uint8: NlTable keeps each value <= 2^(n-1), so with n <= MAX_VARS = 7
+    # no sum exceeds 2^7 = 128
+    total = v1 + t2.values
     if int(total.min()) >= t:
         return CoveringVerdict(True)
     bad = np.flatnonzero(total < t)
     g = bad[np.argmin(v1[bad])]
     return CoveringVerdict(False, int(v1[g]), int(g))
-
-
-def _table_sum(n: int, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """v1 + v2 for two value arrays of n-variable functions.  An nl_{r-1}
-    value is at most 2^(n-1) (`NlTable` checks it), so up to n = 7 no sum
-    exceeds 2^n <= 128 and the uint8 sum is exact."""
-    return (v1 if n <= 7 else v1.astype(np.uint16)) + v2
 
 
 # ---------------------------------------------------------------------------

@@ -505,32 +505,21 @@ def test_minplus_rows_matches_definition(rng, width):
     assert not bound[:24].any() and bound[24:].any(axis=1).all()
     assert np.array_equal(nl._minplus_rows(n1, n2), _minplus_definition(n1, n2))
 
-    # every level 0..12 in every row, low ones rare: many candidate sums
-    skew = 2.0 ** np.arange(13)
-    n1, n2 = (rng.choice(13, size=(rows, width), p=skew / skew.sum()).astype(np.uint8)
-              for _ in range(2))
-    for n in (n1, n2):
-        for row in n:
-            row[rng.permutation(width)[:13]] = np.arange(13)[:width]
-    assert np.array_equal(nl._minplus_rows(n1, n2), _minplus_definition(n1, n2))
-
-
-def test_minplus_walsh_float32_inverse_matches_broadcast(rng):
-    # 1024-wide rows taking every even level up to 16, as the offset nl1
-    # matrices of the (6,3) tables do, then every level up to 16; low levels
-    # are rare, so the candidate sums spread out.  The inverse runs in
-    # float32 and tests <= width / 2.
-    rows, width = 16, 1024
-    for levels in (np.arange(0, 17, 2), np.arange(17)):
+    # every level 0..12 in every row, low ones rare: many candidate sums; at
+    # width 1024 also every even level up to 16, as the offset nl1 matrices
+    # of the (6,3) tables take, and every level up to 16, through the
+    # float32 inverse
+    level_sets = [np.arange(13)]
+    if width == 1024:
+        level_sets += [np.arange(0, 17, 2), np.arange(17)]
+    for levels in level_sets:
         skew = 2.0 ** np.arange(levels.size)
-        a, b = (rng.choice(levels, size=(rows, width), p=skew / skew.sum()).astype(np.uint8)
-                for _ in range(2))
-        for row in (*a, *b):
-            row[rng.permutation(width)[:levels.size]] = levels
-        want = _minplus_definition(a, b)
-        assert np.unique(want).size > 4
-        for top in (int(want.max()), 32):
-            assert np.array_equal(nl._minplus_walsh(a, b, top), want)
+        n1, n2 = (rng.choice(levels, size=(rows, width), p=skew / skew.sum()).astype(np.uint8)
+                  for _ in range(2))
+        for n in (n1, n2):
+            for row in n:
+                row[rng.permutation(width)[:levels.size]] = levels[:width]
+        assert np.array_equal(nl._minplus_rows(n1, n2), _minplus_definition(n1, n2))
 
 
 def _attained_bound(n1, n2):
