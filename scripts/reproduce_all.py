@@ -14,11 +14,9 @@ from rmcover import cli
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--report", default="report.json")
-    ap.add_argument("--workers", default="1", help="worker processes for the sweep")
     args = ap.parse_args()
-    common = ["--workers", args.workers]
-    return (cli.main(common + ["tables", "--which", "5"])
-            or cli.main(common + ["--out", args.report, "verify", "--stage", "all"]))
+    return (cli.main(["tables", "--which", "5"])
+            or cli.main(["--out", args.report, "verify", "--stage", "all"]))
 
 
 if __name__ == "__main__":

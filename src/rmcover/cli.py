@@ -7,9 +7,10 @@ error.
 
 The CLI reads and writes no file apart from `--out`: every command builds
 the (6,3) value tables of the class representatives it needs in process
-(`_table`), and every sweep derives the type-(6,10) matrix set from fn_10's
-orbit and sweeps all of it, so each verdict follows from what the run itself
-computed.  Output written with `--out` ends with the producing command line.
+(`_table`), and every sweep derives one matrix per translation class of
+fn_10's orbit, checks that they cover it and sweeps them all, so each verdict
+follows from what the run itself computed.  Output written with `--out` ends
+with the producing command line.
 """
 
 from __future__ import annotations
@@ -175,15 +176,16 @@ def cmd_tables(args, cmdline: str) -> int:
 def cmd_verify(args, cmdline: str) -> int:
     stage = args.stage
     if stage == "29":
-        v = verify.check_29(_table(2), _table(9))
+        verdicts = [verify.check_29(_table(2), _table(9))]
     elif stage == "310":
-        v = verify.check_310(_table(3), _table(10))
+        verdicts = [verify.check_310(_table(3), _table(10))]
     elif stage == "610":
-        v = verify.sweep_610(verify.fn10_matrix_set(), _table(6), _table(10),
-                             workers=args.workers)
+        mset, orbit_size = verify.fn10_sweep_set()
+        verdicts = [verify.check_coverage(mset, orbit_size),
+                    verify.sweep_610(mset, _table(6), _table(10))]
     elif stage == "all":
         tables = {i: _table(i) for i in range(classify.NUM_CLASSES)}
-        report = verify.prove_rho37(tables, workers=args.workers)
+        report = verify.prove_rho37(tables)
         text = report.to_text()
         print(text)
         if args.out:
@@ -194,12 +196,14 @@ def cmd_verify(args, cmdline: str) -> int:
         return EXIT_OK if report.passed else EXIT_MISMATCH
     else:
         raise CliError(f"unknown stage {stage!r}")
-    counters = " ".join(f"{k}={val}" for k, val in v.counters.items())
-    text = f"[{v.outcome}] {v.stage} {counters}"
-    if v.counterexample is not None:
-        text += f"\ncounterexample: {v.counterexample}"
-    _emit(args, cmdline, text)
-    return EXIT_OK if v.passed else EXIT_MISMATCH
+    lines = []
+    for v in verdicts:
+        counters = " ".join(f"{k}={val}" for k, val in v.counters.items())
+        lines.append(f"[{v.outcome}] {v.stage} {counters}")
+        if v.counterexample is not None:
+            lines.append(f"counterexample: {v.counterexample}")
+    _emit(args, cmdline, "\n".join(lines))
+    return EXIT_OK if all(v.passed for v in verdicts) else EXIT_MISMATCH
 
 
 def _format_element(fs: field.FieldSpec, e: int) -> str:
@@ -266,8 +270,6 @@ def cmd_agl(args, cmdline: str) -> int:
 
 def _global_options() -> argparse.ArgumentParser:
     g = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    g.add_argument("--workers", type=int, default=1,
-                   help="worker processes for the type-(6,10) sweep")
     g.add_argument("--out", default=None, help="also write the result to this file")
     return g
 
@@ -327,8 +329,6 @@ def main(argv=None) -> int:
         "agl": cmd_agl,
     }
     try:
-        if args.workers < 1:
-            raise CliError("--workers must be at least 1")
         return handlers[args.command](args, cmdline)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,8 +27,9 @@ The fn_10 run (`bfs_orbit`) walks single keys and accumulates the matrix
 parts of the accumulated transformations, exactly as the queue-based search
 records them: the search starts from (start coset, identity), expands FIFO
 with the generators in the given order, and on each first visit of a coset
-via (L o G) stores (L o G).A.  Deduplicating those matrices yields the sweep
-set for the type-(6,10) check.
+via (L o G) stores (L o G).A.  Deduplicated, those matrices are the pool
+from which the type-(6,10) check takes one matrix per translation class of
+the keys of fn_10 o A (`image_keys`).
 
 A level is expanded in chunks of parents.  Each unvisited candidate of a
 chunk is packed as key << P | position (position = parent * len(gens) +
@@ -57,6 +58,7 @@ __all__ = [
     "coset_key",
     "key_lift",
     "coset_act",
+    "image_keys",
     "OrbitResult",
     "bfs_orbit",
     "canonical_keys",
@@ -92,6 +94,37 @@ def key_lift(key: int) -> BooleanFunction:
 def coset_act(key: int, L: AffineMap) -> int:
     """Key of (representative o L) + RM(3,6); a right action on keys."""
     return coset_key(apply_affine(key_lift(key), L))
+
+
+def image_keys(f: BooleanFunction, matrix_keys) -> np.ndarray:
+    """coset_key(f o A) (uint32) for each packed matrix A (see `MatrixSet`).
+
+    The point A x is the XOR of the spans of A's columns 0-2 at x mod 8
+    and 3-5 at x // 8; f o A's truth table gathers f's bits at the 64
+    points, packed into one 64-bit word per matrix, and a Moebius transform
+    of the words gives the ANFs whose degree->=4 bits are the keys.
+    """
+    if f.n != 6:
+        raise ValueError("coset keys are defined for 6 variables")
+    m = np.asarray(matrix_keys, dtype=np.uint64)
+    spread = xor_span([1 << 6 * j for j in range(6)], np.uint64)  # bit j -> bit 6j
+    f_bits = np.array([f.tt >> x & 1 for x in range(64)], dtype=np.uint8)
+    words = np.empty(m.shape, dtype="<u8")
+    for s in range(0, m.size, 4096):  # blocks keep the temporaries small
+        t = np.bitwise_or.reduce([spread[m[s:s + 4096] >> 6 * i & 63] << i for i in range(6)])
+        cols = [(t >> 6 * j & 63).astype(np.uint8) for j in range(6)]  # the rows of A^T
+        # one C-order row of 64 points per matrix, as packbits is fast on those
+        lo, hi = (np.ascontiguousarray(xor_span(c, np.uint8).T)
+                  for c in (cols[:3], cols[3:]))
+        tt = np.packbits(f_bits[(lo[:, None, :] ^ hi[:, :, None]).reshape(-1, 64)],
+                         axis=1, bitorder="little")
+        words[s:s + 4096] = tt.view("<u8")[:, 0]
+    for i in range(6):  # a_x ^= a_(x - 2^i) at the points x with bit i set
+        words ^= (words & sum(1 << x for x in range(64) if not x >> i & 1)) << (1 << i)
+    keys = np.zeros(m.shape, dtype=np.uint32)
+    for k, mono in enumerate(_KEYS.members):
+        keys |= (words >> mono & 1).astype(np.uint32) << k
+    return keys
 
 
 def _row_map(L: AffineMap) -> np.ndarray:

@@ -5,8 +5,9 @@ bound table excludes 51 of the 55 off-diagonal types; the parity rule
 excludes every diagonal type; two level-set inclusion checks dispose of the
 canonical families fn_2 || (fn_9 + g) and fn_3 || (fn_10 + g); the reduction
 maps the remaining shapes of types (2,9), (2,10), (3,10) into the types with
-halves of degrees 5 and 6; and the matrix sweep refutes type (6,10)
-outright.  A witness function with nl_3 = 20 settles the lower bound.
+halves of degrees 5 and 6; and the matrix sweep over one matrix per
+translation class of fn_10's orbit, whose coverage is checked, refutes type
+(6,10) outright.  A witness function with nl_3 = 20 settles the lower bound.
 
 All set manipulation happens on coefficient-word index arrays against the
 level tables: a shifted level set X + g is the index set X XOR g, and
@@ -17,10 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -46,14 +45,23 @@ from .classify import (
 )
 from .field import AffineMap, SingularMatrixError, agl_generators
 from .nonlin import NlTable, nl_r_recursive
-from .orbit import MatrixSet, bfs_orbit, coset_key, gf2_minors
+from .orbit import (
+    MatrixSet,
+    bfs_orbit,
+    canonical_keys,
+    class_sizes,
+    coset_key,
+    gf2_minors,
+    image_keys,
+)
 
 __all__ = [
     "Verdict",
     "check_29",
     "check_310",
     "reduce_to_610",
-    "fn10_matrix_set",
+    "fn10_sweep_set",
+    "check_coverage",
     "sweep_610",
     "SWEEP_SHARD_SIZE",
     "Report",
@@ -234,10 +242,32 @@ def reduce_to_610(f: BooleanFunction) -> tuple[BooleanFunction, tuple[int, int]]
 # ---------------------------------------------------------------------------
 
 
-def fn10_matrix_set() -> MatrixSet:
-    """The sweep set: the matrix parts that the AGL(6,2) orbit search of
-    fn_10's coset collects (130,844 matrices)."""
-    return bfs_orbit(coset_key(fn_rep(10)), list(agl_generators(6, 2))).matrix_set
+def fn10_sweep_set() -> tuple[MatrixSet, int]:
+    """The sweep set and the size of fn_10's coset orbit.
+
+    Of the matrix parts that the AGL(6,2) orbit search collects (130,844),
+    the least of each translation class of the keys of fn_10 o A is kept
+    (13,888); `check_coverage` certifies that they reach every class.
+    """
+    f = fn_rep(10)
+    orbit = bfs_orbit(coset_key(f), list(agl_generators(6, 2)))
+    members = orbit.matrix_set.members
+    first = np.unique(canonical_keys(image_keys(f, members)), return_index=True)[1]
+    return MatrixSet(members[np.sort(first)]), orbit.orbit_size
+
+
+def check_coverage(mset: MatrixSet, orbit_size: int) -> Verdict:
+    """Every translation class of fn_10's coset orbit has a matrix in mset.
+
+    The key of fn_10 o A (`image_keys`, from the points alone) lies in the
+    orbit for every invertible A, and distinct classes are disjoint, so
+    their sizes sum to orbit_size exactly when they are all of the orbit.
+    """
+    classes = np.unique(canonical_keys(image_keys(fn_rep(10), mset.members)))
+    covered = int(class_sizes(classes).sum())
+    return Verdict("coverage", "pass" if covered == orbit_size else "fail",
+                   {"classes": int(classes.size), "covered": covered, "orbit": orbit_size},
+                   None, {"matrix_set": matrixset_digest(mset)})
 
 
 def _image_words(matrix_keys: np.ndarray, base_words: np.ndarray) -> np.ndarray:
@@ -363,8 +393,7 @@ def _sweep_shard(matrix_keys: np.ndarray, base_words: np.ndarray,
 
 def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
               stride: int = 1,
-              shard_size: int = SWEEP_SHARD_SIZE,
-              workers: int = 1) -> Verdict:
+              shard_size: int = SWEEP_SHARD_SIZE) -> Verdict:
     """Subset test over every stored matrix: does any shifted image of the
     bottom attained level set of the fn_6 table, at level b, land inside the
     targets, the words of the fn_10 table at level >= TARGET - b?  That is
@@ -389,12 +418,23 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
     and hits are gathered matrix by matrix in shard order, so the hits,
     their order and the verdict do not depend on the pivots or the walk.
 
+    One matrix per translation class of fn_10's coset orbit is enough
+    (`fn10_sweep_set`).  A translation part adds only terms of degree <= 2
+    to a cubic, so only the matrix of an affine map matters below, and
+    fn_10 o (A, b) is fn_10 o A under a translation: the maps with matrix A
+    reach one class.  Let W_A = {T_3(s o A^-1)} be the image words of A.
+    If the keys of fn_10 o A and fn_10 o A' share a class, some affine M
+    with matrix A A'^-1 fixes fn_10's coset: fn_10 o M = fn_10 + r, r in
+    RM(3,6).  Then W_A' = {T_3(w o M) : w in W_A}, and g -> T_3(r + g o M)
+    maps each level set of the t10 table onto itself, since nl_2(fn_10 +
+    g) = nl_2(fn_10 o M + g o M).  So W_A + v lies in T exactly when W_A' +
+    T_3(r + v o M) does: both matrices have as many hits.
+
     stride > 1 selects the deterministic subset of matrices with index
     divisible by stride (a proxy for tests and benchmarks).  Shards are
-    contiguous ranges of shard_size selected matrices, all swept by this
-    call: it reads and writes no file.  workers > 1 sweeps them in a process
-    pool of at most one worker per shard.  The `resumed_shards` counter is
-    always 0.
+    contiguous ranges of shard_size selected matrices, all swept in turn by
+    this call: it reads and writes no file.  The `resumed_shards` counter
+    is always 0.
     """
     _require_63(t6, "sweep base table")
     _require_63(t10, "sweep target table")
@@ -409,23 +449,14 @@ def sweep_610(mset: MatrixSet, t6: NlTable, t10: NlTable, *,
         "t10": table_digest(t10),
         "stride": stride,
     }
-    shards = [selected[s:s + shard_size] for s in range(0, selected.shape[0], shard_size)]
-
-    # one result per shard, in shard order, computed here or by a worker pool
+    shards = range(0, selected.shape[0], shard_size)
     processed = 0
     hits: list[tuple] = []
-    pool, mapper = nullcontext(), map
-    pool_size = min(workers, len(shards))
-    if pool_size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=pool_size)
-        mapper = pool.map
-    with pool:
-        for nmat, shard_hits in mapper(_sweep_shard, shards, repeat(base_words),
-                                       repeat(targets), repeat(allowed)):
-            processed += nmat
-            hits.extend(shard_hits)
+    for s in shards:
+        nmat, shard_hits = _sweep_shard(selected[s:s + shard_size], base_words,
+                                        targets, allowed)
+        processed += nmat
+        hits.extend(shard_hits)
 
     counters = {
         "matrices": processed,
@@ -566,14 +597,15 @@ class Report:
         return "\n".join(lines)
 
 
-def prove_rho37(tables, *, workers: int = 1) -> Report:
+def prove_rho37(tables) -> Report:
     """Chain every stage and report rho(3,7) = 20.
 
     `tables` maps the class index to its (6,3) value table; all eleven are
     needed for the bound stage, and indices 2, 3, 6, 9, 10 feed the deep
-    checks.  The type-(6,10) sweep runs over the whole matrix set, derived
-    here from fn_10's orbit, with no stride, and reads no file: nothing the
-    caller passes can narrow it, and every shard is swept in this run.
+    checks.  The type-(6,10) sweep runs over one matrix per translation
+    class, derived here from fn_10's orbit and certified by the coverage
+    stage, with no stride, and reads no file: nothing the caller passes can
+    narrow it, and every shard is swept in this run.
     """
     stages: list[Verdict] = []
     stats = {i: class_stats(i, tables[i]) for i in range(NUM_CLASSES)}
@@ -601,13 +633,12 @@ def prove_rho37(tables, *, workers: int = 1) -> Report:
     # (mod 2).  It holds because RM(3,6) and RM(3,7) words have even weight,
     # so nl_3 has the parity of the weight, and weights add under
     # concatenation.  Both halves of a type-(i,i) function have nl_3 =
-    # nl3(fn_i), so the sum is even and nl_3 is never the odd TARGET.
-    kept = tuple(i for i, s in stats.items() if (s.nl3 + s.nl3) % 2 == TARGET % 2)
-    stages.append(Verdict(
-        "parity", "fail" if kept else "pass",
-        {"diagonal_types_excluded": NUM_CLASSES - len(kept)},
-        kept or None, digests,
-    ))
+    # nl3(fn_i), so the sum is even and nl_3 is never an odd TARGET.  A
+    # lemma: it reads no table value, and its one premise is that TARGET is
+    # odd.
+    excluded = NUM_CLASSES if TARGET % 2 else 0
+    stages.append(Verdict("parity", "pass" if excluded else "fail",
+                          {"diagonal_types_excluded": excluded}, None, digests))
 
     stages.append(check_29(tables[2], tables[9]))
     stages.append(check_310(tables[3], tables[10]))
@@ -624,8 +655,9 @@ def prove_rho37(tables, *, workers: int = 1) -> Report:
         {"seed": REDUCTION_SEED, "samples_per_pair": REDUCTION_SAMPLES},
     ))
 
-    stages.append(sweep_610(fn10_matrix_set(), tables[6], tables[10],
-                            workers=workers))
+    mset, orbit_size = fn10_sweep_set()
+    stages.append(check_coverage(mset, orbit_size))
+    stages.append(sweep_610(mset, tables[6], tables[10]))
 
     witness = BooleanFunction.from_anf_string(WITNESS_ANF, n=7)
     wv = nl_r_recursive(witness, 3)

@@ -5,7 +5,8 @@ from hypothesis import settings
 from rmcover.classify import fn_rep
 from rmcover.field import agl_generators
 from rmcover.nonlin import build_nl_table
-from rmcover.orbit import bfs_orbit, coset_key
+from rmcover.orbit import MatrixSet, bfs_orbit, canonical_keys, coset_key, image_keys
+from rmcover.verify import fn10_sweep_set
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -41,6 +42,25 @@ def fn10_orbit(agl6_gens):
 @pytest.fixture(scope="session")
 def matrix_set(fn10_orbit):
     return fn10_orbit.matrix_set
+
+
+@pytest.fixture(scope="session")
+def sweep_set():
+    """The class sweep set and fn_10's orbit size, as the pipeline derives them."""
+    return fn10_sweep_set()
+
+
+@pytest.fixture(scope="session")
+def coverage_controls(sweep_set, matrix_set):
+    """Sweep sets that miss one class of fn_10's orbit: one class's matrix
+    dropped, and one replaced by a second matrix of another class."""
+    members = sweep_set[0].members
+    f = fn_rep(10)
+    others = np.setdiff1d(matrix_set.members, members)
+    first_class = canonical_keys(image_keys(f, members[:1]))[0]
+    second = others[canonical_keys(image_keys(f, others)) == first_class][0]
+    kept = np.delete(members, 7)
+    return {"dropped": MatrixSet(kept), "replaced": MatrixSet(np.sort(np.r_[kept, second]))}
 
 
 @pytest.fixture

@@ -83,16 +83,32 @@ def test_verify_29_and_310(capsys, cached_tables):
 
 
 def test_verify_610_sweeps_every_matrix(capsys, monkeypatch, cached_tables,
-                                         matrix_set, tmp_path):
-    # the matrix_set fixture (fn_10's orbit) stands in for the derived set;
-    # the sweep writes no file
-    monkeypatch.setattr(verify, "fn10_matrix_set", lambda: matrix_set)
+                                         fn10_orbit, tmp_path):
+    # the fn10_orbit fixture stands in for the orbit search; the class set
+    # is chosen, certified and swept in the run, which writes no file
+    monkeypatch.setattr(verify, "bfs_orbit", lambda *args: fn10_orbit)
     monkeypatch.chdir(tmp_path)
     before = sorted(tmp_path.rglob("*"))
     code, out, _ = run(capsys, "verify", "--stage", "610")
-    assert code == 0 and "hits=0" in out
-    assert "matrices=130844 " in out
+    assert code == 0
+    assert out.splitlines() == [
+        "[pass] coverage classes=13888 covered=888832 orbit=888832",
+        "[pass] sweep_610 matrices=13888 targets_per_matrix=34560 subset_size=32 "
+        "hits=0 shards=1 resumed_shards=0"]
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("control", ["dropped", "replaced"])
+def test_verify_refuses_a_set_that_misses_a_class(capsys, monkeypatch, cached_tables,
+                                                   sweep_set, coverage_controls, control):
+    monkeypatch.setattr(verify, "fn10_sweep_set",
+                        lambda: (coverage_controls[control], sweep_set[1]))
+    code, out, _ = run(capsys, "verify", "--stage", "610")
+    assert code == 1
+    assert out.startswith("[fail] coverage classes=13887 ") and "[pass] sweep_610" in out
+    code, out, _ = run(capsys, "verify", "--stage", "all")
+    assert code == 1 and "[fail] coverage" in out
+    assert "= 20" not in out and out.rstrip().endswith("conclusion: inconclusive")
 
 
 def test_verify_reads_no_table_file(capsys, monkeypatch, tmp_path, tables):
@@ -138,14 +154,18 @@ def test_checkpoint_dir_refused(capsys, monkeypatch, tables, matrix_set, tmp_pat
         assert "--checkpoint-dir" in err
 
 
-def test_workers_below_one_refused(capsys, monkeypatch):
+def test_workers_option_refused(capsys, monkeypatch):
+    # the sweep runs in one process: --workers is no option
     def no_table(index):
         raise AssertionError("a refused command builds no table")
 
     monkeypatch.setattr(cli, "_table", no_table)
-    for n in ("0", "-3"):
-        code, out, err = run(capsys, "--workers", n, "verify", "--stage", "610")
-        assert (code, out) == (2, "") and "--workers must be at least 1" in err
+    try:
+        code = main(["--workers", "2", "verify", "--stage", "610"])
+    except SystemExit as exc:  # argparse rejects an unknown option
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and "--workers" in err
 
 
 def test_verify_deterministic_output(capsys, cached_tables):
@@ -191,13 +211,13 @@ def test_reproduce_all_forwards_to_the_cli(monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
     monkeypatch.setattr("sys.argv", ["reproduce_all.py",
-                                     "--report", "r.json", "--workers", "2"])
+                                     "--report", "r.json"])
     script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_all.py"
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == 0
-    assert calls == [["--workers", "2", "tables", "--which", "5"],
-                     ["--workers", "2", "--out", "r.json", "verify", "--stage", "all"]]
+    assert calls == [["tables", "--which", "5"],
+                     ["--out", "r.json", "verify", "--stage", "all"]]
 
 
 def test_tables_5_orbit_partition(capsys):

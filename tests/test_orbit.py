@@ -116,6 +116,32 @@ def test_translation_class_census():
     assert int(sizes.sum()) == 1 << 22
 
 
+def _pack(A) -> int:
+    return sum(a << 6 * i + j for i, row in enumerate(A) for j, a in enumerate(row))
+
+
+def test_image_keys_match_coset_act(matrix_set, rng):
+    # the keys of f o A from the points against the scalar action, on
+    # matrices of the orbit's set and uniform random ones
+    mats = [tuple(tuple(int(k) >> 6 * i + j & 1 for j in range(6)) for i in range(6))
+            for k in matrix_set.members[rng.integers(0, len(matrix_set), size=40)]]
+    mats += [random_affine_map(rng).A for _ in range(40)]
+    transposed = [tuple(zip(*A)) for A in mats]
+    assert sum(A != T for A, T in zip(mats, transposed)) > 70
+    keys = np.array([_pack(A) for A in mats], dtype=np.uint64)
+    funcs = [fn_rep(10), fn_rep(9), BooleanFunction.from_tt(6, int(rng.integers(0, 1 << 63)))]
+    for f in funcs:
+        got = ob.image_keys(f, keys)
+        assert got.dtype == np.uint32
+        want = [ob.coset_act(ob.coset_key(f), AffineMap(2, 6, A, (0,) * 6)) for A in mats]
+        assert got.tolist() == want
+    # a row/column mix-up would give the keys of the transposes
+    t_keys = np.array([_pack(T) for T in transposed], dtype=np.uint64)
+    assert not np.array_equal(ob.image_keys(fn_rep(10), t_keys), ob.image_keys(fn_rep(10), keys))
+    with pytest.raises(ValueError):
+        ob.image_keys(BooleanFunction.from_tt(5, 1), keys)
+
+
 @pytest.mark.parametrize("index", [0, 1, 2, 3, 4, 7, 8])
 def test_class_walk_matches_bfs_orbit(agl6_gens, index):
     start = ob.coset_key(fn_rep(index))

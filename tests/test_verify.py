@@ -17,7 +17,7 @@ from rmcover.nonlin import (
     nl_r_recursive,
     transform_words,
 )
-from rmcover.orbit import MatrixSet
+from rmcover.orbit import MatrixSet, canonical_keys, image_keys
 
 import gf2_reference
 from gf2_reference import gf2_pack_rows, gf2_unpack_keys
@@ -244,10 +244,7 @@ def test_sweep_projection_covariance(matrix_set, tables, rng):
 
 def test_sweep_worker_equivalence(matrix_set, tables):
     a = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64)
-    b = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64,
-                     workers=2)
-    assert a.counters["shards"] == 5
-    assert a.counters == b.counters and a.outcome == b.outcome
+    assert a.passed and a.counters["shards"] == 5
     # a planted target table with hits in the first and the last shard, swept
     # over a strided view of the keys
     keys = matrix_set.members[::500]
@@ -259,41 +256,9 @@ def test_sweep_worker_equivalence(matrix_set, tables):
         values[vf._image_words(keys[m:m + 1], base)[:, 0] ^ np.uint32(g)] = 15
     fake = NlTable(tables[10].base, 3, values)
     a = vf.sweep_610(MatrixSet(keys), tables[6], fake, shard_size=64)
-    b = vf.sweep_610(MatrixSet(keys), tables[6], fake, shard_size=64, workers=2)
-    assert a.outcome == b.outcome == "fail"
-    assert a.counterexample == b.counterexample
+    assert a.outcome == "fail" and a.counters["shards"] == 5
     assert a.counterexample[0] == int(keys[3])
-    assert a.counters == b.counters and a.counters["hits"] >= 2
-
-
-def test_sweep_pool_is_bounded_by_pending_shards(matrix_set, tables, monkeypatch):
-    # a stand-in executor records the pool size it is asked for and maps in
-    # process, so no worker process starts
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            self.map = map
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    sweep = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64,
-                         workers=1000)
-    assert sweep.passed and sweep.counters["shards"] == 5 and sizes == [5]
-    vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, shard_size=64, workers=2)
-    assert sizes == [5, 2]
-    # a single shard: no pool
-    single = vf.sweep_610(matrix_set, tables[6], tables[10], stride=500, workers=1000)
-    assert single.counters["shards"] == 1 and single.passed
-    assert sizes == [5, 2]
+    assert a.counters["hits"] >= 2
 
 
 def test_sweep_detects_planted_hit(tables):
@@ -555,13 +520,14 @@ fn_7=(6, 1, 1, 17) fn_8=(6, 3, 3, 15) fn_9=(6, 7, 5, 15) fn_10=(6, 9, 7, 15)
 [pass] check_29     candidates=5760 probe_size=1920 satisfying=0
 [pass] check_310    round1_candidates=974592 round1_survivors=6912 round2_satisfying=0
 [pass] reduction    total=9 into_610=2
-[pass] sweep_610    matrices=130844 targets_per_matrix=34560 subset_size=32 hits=0 \
-shards=8 resumed_shards=0
+[pass] coverage     classes=13888 covered=888832 orbit=888832
+[pass] sweep_610    matrices=13888 targets_per_matrix=34560 subset_size=32 hits=0 \
+shards=1 resumed_shards=0
 [pass] witness      nl3=20 degree=4
 conclusion: rho(3,7) = 20"""
 
 
-def test_prove_rho37(tables, matrix_set):
+def test_prove_rho37(tables, sweep_set):
     full_tables = {i: tables[i] for i in range(11)}
     report = vf.prove_rho37(full_tables)
     assert report.passed
@@ -569,7 +535,7 @@ def test_prove_rho37(tables, matrix_set):
     assert report.to_text() == PASSING_REPORT
     names = [v.stage for v in report.stages]
     assert names == ["class_table", "exclusion", "parity", "check_29",
-                     "check_310", "reduction", "sweep_610", "witness"]
+                     "check_310", "reduction", "coverage", "sweep_610", "witness"]
     assert len(vf.DEEP_TYPES) == 4
     payload = json.loads(report.to_json())
     assert payload["conclusion"] == "rho(3,7) = 20"
@@ -578,13 +544,66 @@ def test_prove_rho37(tables, matrix_set):
     assert by_name["witness"].counters["nl3"] == 20
     assert by_name["exclusion"].counters["off_diagonal_excluded"] == 51
     assert by_name["exclusion"].counters["rho_upper_from_bounds"] == 22
-    # the whole derived matrix set, swept afresh
+    # one derived matrix per translation class, certified and swept afresh
     sweep = by_name["sweep_610"]
-    assert sweep.counters["matrices"] == 130844
+    assert sweep.counters["matrices"] == 13888
+    assert sweep.counters["shards"] == 1
     assert sweep.counters["resumed_shards"] == 0
-    assert sweep.inputs["matrix_set"] == vf.matrixset_digest(matrix_set)
+    assert sweep.inputs["matrix_set"] == vf.matrixset_digest(sweep_set[0]) == "32802a0479a3f0ae"
+    assert by_name["coverage"].inputs == {"matrix_set": sweep.inputs["matrix_set"]}
     assert sweep.inputs["stride"] == 1
     assert by_name["reduction"].counters["total"] == 3 * vf.REDUCTION_SAMPLES
     assert all(v.inputs for v in report.stages)
     assert payload["stages"][2]["inputs"] == by_name["class_table"].inputs
     assert by_name["witness"].inputs == {"anf": vf.WITNESS_ANF}
+
+
+@pytest.mark.parametrize("control", ["dropped", "replaced"])
+def test_coverage_negative_controls(tables, sweep_set, coverage_controls, monkeypatch,
+                                    control):
+    # a sweep set that misses one class fails the certificate, and with it
+    # the conclusion, although the sweep over it passes
+    mset, orbit_size = coverage_controls[control], sweep_set[1]
+    v = vf.check_coverage(mset, orbit_size)
+    assert not v.passed
+    assert v.counters == {"classes": 13887, "covered": 888832 - 64, "orbit": 888832}
+    monkeypatch.setattr(vf, "fn10_sweep_set", lambda: (mset, orbit_size))
+    report = vf.prove_rho37({i: tables[i] for i in range(11)})
+    by_name = {v.stage: v for v in report.stages}
+    assert by_name["coverage"].outcome == "fail" and by_name["sweep_610"].passed
+    assert not report.passed and report.rho_upper is None
+    assert report.conclusion == "inconclusive" and "= 20" not in report.to_text()
+
+
+def test_sweep_set_is_one_matrix_per_class(sweep_set, matrix_set):
+    mset, orbit_size = sweep_set
+    assert orbit_size == 888832
+    assert np.isin(mset.members, matrix_set.members).all()
+    classes = canonical_keys(image_keys(fn_rep(10), mset.members))
+    assert np.unique(classes).size == len(mset) == 13888
+    assert vf.check_coverage(mset, orbit_size).passed
+
+
+def test_hit_counts_are_constant_on_classes(matrix_set, tables, rng):
+    # the lemma behind one matrix per class: with every t10 value raised by
+    # 2, the targets are the words at level >= 13 and hits exist, and every
+    # matrix of a class has as many as the others
+    raised = NlTable(tables[10].base, 3, tables[10].values + 2)
+    classes = canonical_keys(image_keys(fn_rep(10), matrix_set.members))
+    labels, sizes = np.unique(classes, return_counts=True)
+    counts = []
+    for c in rng.choice(labels[sizes >= 4], size=12, replace=False):
+        members = rng.choice(matrix_set.members[classes == c], size=4, replace=False)
+        hits = {vf.sweep_610(MatrixSet(np.array([k])), tables[6], raised).counters["hits"]
+                for k in members}
+        assert len(hits) == 1
+        counts.append(hits.pop())
+    assert min(counts) > 0 and len(set(counts)) > 1
+
+
+def test_parity_lemma_needs_an_odd_target(tables, monkeypatch):
+    monkeypatch.setattr(vf, "TARGET", 20)
+    report = vf.prove_rho37({i: tables[i] for i in range(11)})
+    parity = {v.stage: v for v in report.stages}["parity"]
+    assert parity.outcome == "fail" and parity.counters == {"diagonal_types_excluded": 0}
+    assert report.conclusion == "inconclusive"
