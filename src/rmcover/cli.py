@@ -44,8 +44,6 @@ EXPECTED_LEVEL_COUNTS = {
 EXPECTED_ORBIT_LENGTHS = (1, 651, 18228, 13888, 2016, 312480, 1749888,
                           64, 41664, 1166592, 888832)
 
-EXPECTED_MATRIX_SET_SIZE = 130843  # published; see the project notes on +-1
-
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2

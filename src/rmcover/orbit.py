@@ -20,24 +20,21 @@ are fixed (1 key).  That makes 32,768 + 64,512 + 32,768 = 130,048 classes.  Thei
 from the translations' actions on the 128 patterns, not written down: a
 key's canonical class member is its translate of least pattern, reduced to
 the least key of that pattern's coset of translation vectors (a reduced
-row-echelon basis per pattern).  `orbit_lengths` walks canonical keys with
-one visited bit per key, shared by all its starts, and sums class sizes.
+row-echelon basis per pattern).
 
-The fn_10 run (`bfs_orbit`) walks single keys and accumulates the matrix
-parts of the accumulated transformations, exactly as the queue-based search
-records them: the search starts from (start coset, identity), expands FIFO
-with the generators in the given order, and on each first visit of a coset
-via (L o G) stores (L o G).A.  Deduplicated, those matrices are the pool
-from which the type-(6,10) check takes one matrix per translation class of
-the keys of fn_10 o A (`image_keys`).
-
-A level is expanded in chunks of parents.  Each unvisited candidate of a
-chunk is packed as key << P | position (position = parent * len(gens) +
-generator, P bits wide) and the packed words are sorted once: the first word
-of each key's run is the key's earliest candidate, which claims it, and the
-claimed positions, sorted again, give the next level in FIFO order.  The
-matrix keys are merged the same way, by a sort and a mask of the first of
-each run of equal words.
+`orbit_lengths` and `bfs_orbit` share one walk over canonical keys
+(`_class_walk`), with one visited flag per key.  A level's candidates are
+the canonical keys of its keys' images under the generators.  Each
+unvisited candidate is packed as key << P | position (position = parent *
+len(gens) + generator, P bits wide) and the packed words are sorted once:
+the first word of each key's run is the key's earliest candidate, which
+claims it, and the claims in key order are the next level.  Orbit lengths
+are sums of class sizes.  `bfs_orbit` also records, for each claimed class,
+the matrix part of the map that reached it from (start, identity): one
+matrix per translation class of the orbit, which is what the type-(6,10)
+sweep needs (13,888 for fn_10's orbit of 888,832 cosets).  The queue search
+over single keys, which records 130,844 matrices for fn_10, is the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -206,42 +203,7 @@ class MatrixSet:
         return cls(np.frombuffer(raw, dtype="<u8", count=count, offset=8)), meta
 
 
-@dataclass(frozen=True)
-class OrbitResult:
-    orbit_size: int
-    matrix_set: MatrixSet
-    transcript: "OrbitTranscript | None"
-
-
-@dataclass(frozen=True)
-class OrbitTranscript:
-    """One reaching record per visited coset, in claim order.
-
-    keys[i] was first reached from the parent at claim position parents[i]
-    (-1 for children of the start coset) by applying generator gens[i].
-    """
-
-    keys: np.ndarray
-    parents: np.ndarray
-    gens: np.ndarray
-
-    def word_for(self, key: int) -> list[int]:
-        """Generator indices whose left-to-right composition reaches `key`."""
-        hit = np.flatnonzero(self.keys == key)
-        if not hit.size:
-            raise KeyError(key)
-        word: list[int] = []
-        pos = int(hit[0])
-        while pos != -1:
-            word.append(int(self.gens[pos]))
-            pos = int(self.parents[pos])
-        return word[::-1]
-
-
-_CHUNK = 1 << 15  # parents expanded at once
-
-
-def _sorted_distinct(a: np.ndarray, shift: int = 0) -> np.ndarray:
+def _sorted_distinct(a: np.ndarray, shift: int) -> np.ndarray:
     """Sorted a, keeping the first element of each run of equal a >> shift."""
     a = np.sort(a)
     k = a >> shift
@@ -254,101 +216,6 @@ def _sorted_distinct(a: np.ndarray, shift: int = 0) -> np.ndarray:
 def _act(table: tuple[np.ndarray, np.ndarray], keys: np.ndarray) -> np.ndarray:
     lo, hi = table
     return lo[keys & _HALF_MASK] ^ hi[keys >> _HALF_BITS]
-
-
-def _unvisited(visited: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    return (visited[keys >> 3] >> (keys & 7) & 1) == 0
-
-
-def _mark(visited: np.ndarray, keys: np.ndarray) -> None:
-    np.bitwise_or.at(visited, keys >> 3, (1 << (keys & 7)).astype(np.uint8))
-
-
-def _check_gens(gens: list[AffineMap]) -> None:
-    if any(g.q != 2 or g.n != 6 for g in gens):
-        raise ValueError("orbit search needs AGL(6, F2) generators")
-
-
-def bfs_orbit(start: int, gens: list[AffineMap],
-              transcript: bool = False) -> OrbitResult:
-    """Breadth-first enumeration of the coset orbit under the generators.
-
-    Matches the queue discipline of a scalar FIFO search seeded with
-    (start, identity): children are claimed in parent order with the
-    generators tried in list order, and each newly visited coset records the
-    matrix part of its accumulated transformation.  The start coset itself is
-    counted when (and only when) it is re-reached, which always happens for a
-    group orbit.
-    """
-    _check_gens(gens)
-    tables = [_KEYS.action(g) for g in gens]
-    grow_tabs = [_row_map(g) for g in gens]
-    ngens = len(gens)
-    pos_bits = (_CHUNK * ngens - 1).bit_length()  # a chunk's candidate positions
-    visited = np.zeros(1 << (KEY_BITS - 3), dtype=np.uint8)  # one bit per key
-
-    frontier_keys = np.array([start], dtype=np.uint32)
-    frontier_A = np.array([sum(1 << 7 * i for i in range(6))], dtype=np.uint64)  # identity
-    frontier_offset = -1  # the seed level has no claim index
-
-    matrices = np.empty(0, dtype=np.uint64)  # sorted, distinct
-    pending: list[np.ndarray] = []
-    t_keys: list[np.ndarray] = []
-    t_parents: list[np.ndarray] = []
-    t_gens: list[np.ndarray] = []
-    claimed_total = 0
-
-    while frontier_keys.size:
-        level_keys, level_A = [], []
-        level_claims = 0
-        # Parents in chunks, in order: a coset is claimed by its first
-        # candidate in the chunk where it first appears, as in one pass over
-        # the level, while the temporaries stay a few MB.
-        for s in range(0, frontier_keys.size, _CHUNK):
-            fk = frontier_keys[s:s + _CHUNK]
-            cand_keys = np.empty(fk.size * ngens, dtype=np.uint32)
-            for gi, table in enumerate(tables):
-                cand_keys[gi::ngens] = _act(table, fk)
-            fresh_pos = np.flatnonzero(_unvisited(visited, cand_keys))
-            # key << pos_bits | position: the first of each key's run is its
-            # earliest candidate, which claims it
-            claims = _sorted_distinct(
-                cand_keys[fresh_pos].astype(np.uint64) << pos_bits
-                | fresh_pos.astype(np.uint64), pos_bits)
-            _mark(visited, claims >> pos_bits)
-            claim_pos = np.sort((claims & ((1 << pos_bits) - 1)).astype(np.intp))
-            level_claims += claim_pos.size
-
-            parent_idx = s + claim_pos // ngens
-            gen_idx = claim_pos % ngens
-            level_keys.append(cand_keys[claim_pos])
-            new_A = np.empty(claim_pos.size, dtype=np.uint64)
-            for gi, tab in enumerate(grow_tabs):  # rows 0-1, 2-3 and 4-5 at once
-                sel = np.flatnonzero(gen_idx == gi)
-                a = frontier_A[parent_idx[sel]]
-                new_A[sel] = tab[a & 4095] | tab[a >> 12 & 4095] << 12 | tab[a >> 24] << 24
-            level_A.append(new_A)
-            pending.append(new_A)
-            if sum(p.size for p in pending) > 1 << 17:
-                matrices = _sorted_distinct(np.concatenate([matrices, *pending]))
-                pending = []
-            if transcript:
-                t_keys.append(level_keys[-1])
-                if frontier_offset < 0:
-                    t_parents.append(np.full(claim_pos.size, -1, dtype=np.int64))
-                else:
-                    t_parents.append(frontier_offset + parent_idx.astype(np.int64))
-                t_gens.append(gen_idx.astype(np.uint8))
-
-        frontier_offset = claimed_total
-        claimed_total += level_claims
-        frontier_keys = np.concatenate(level_keys)
-        frontier_A = np.concatenate(level_A)
-
-    mset = MatrixSet(_sorted_distinct(np.concatenate([matrices, *pending])))
-    trans = (OrbitTranscript(*map(np.concatenate, (t_keys, t_parents, t_gens)))
-             if transcript else None)  # every chunk appends to the lists
-    return OrbitResult(claimed_total, mset, trans)
 
 
 class _Classes(NamedTuple):
@@ -422,30 +289,90 @@ def class_sizes(keys) -> np.ndarray:
     return t.size[_pattern(t, np.asarray(keys, dtype=np.uint32))]
 
 
+def _class_walk(start: int, tables: list, visited: np.ndarray):
+    """Claim the translation classes of start's orbit, level by level.
+
+    The seed level is start's canonical key.  Each level yields its claimed
+    canonical keys (ascending), marked in `visited`, and each claim's
+    position parent * len(tables) + generator among the candidates of the
+    previous level.  A class is claimed by its first candidate in parent
+    order, then generator order; the start's own class is claimed when it is
+    re-reached, which always happens in a group orbit.
+    """
+    ngens = len(tables)
+    frontier = canonical_keys([start])
+    while frontier.size:
+        cand = np.empty(frontier.size * ngens, dtype=np.uint32)
+        for gi, table in enumerate(tables):
+            cand[gi::ngens] = _act(table, frontier)
+        cand = canonical_keys(cand)
+        pos = np.flatnonzero(~visited[cand])
+        # key << bits | position: the first of each key's run is its
+        # earliest candidate, which claims it
+        bits = (cand.size - 1).bit_length()
+        claims = _sorted_distinct(cand[pos].astype(np.int64) << bits | pos, bits)
+        frontier = claims >> bits
+        visited[frontier] = True
+        yield frontier, claims & ((1 << bits) - 1)
+
+
+def _key_tables(gens: list[AffineMap]) -> list:
+    """The key action tables of AGL(6, F2) generators."""
+    if any(g.q != 2 or g.n != 6 for g in gens):
+        raise ValueError("orbit search needs AGL(6, F2) generators")
+    return [_KEYS.action(g) for g in gens]
+
+
+@dataclass(frozen=True)
+class OrbitResult:
+    orbit_size: int
+    matrix_set: MatrixSet
+
+
+def bfs_orbit(start: int, gens: list[AffineMap]) -> OrbitResult:
+    """The orbit size of a coset key, and one matrix per translation class.
+
+    The class walk of `orbit_lengths`, seeded with (start, identity): each
+    claimed class records the matrix part of its parent's accumulated map
+    followed by the claiming generator.  An affine map sends a class onto a
+    class and a claim acts on its parent class's canonical key, so for each
+    recorded A the key of (start's coset) o A lies in the class that A
+    claimed.  A determines that class, so the matrices are distinct.
+    """
+    tables = _key_tables(gens)
+    grow_tabs = [_row_map(g) for g in gens]
+    level_A = np.array([sum(1 << 7 * i for i in range(6))], dtype=np.uint64)  # identity
+    orbit_size, matrices = 0, []
+    for keys, pos in _class_walk(start, tables, np.zeros(1 << KEY_BITS, dtype=bool)):
+        orbit_size += int(class_sizes(keys).sum())
+        parent, gen = np.divmod(pos, len(gens))
+        a = level_A[parent]
+        level_A = np.empty_like(a)
+        for gi, tab in enumerate(grow_tabs):  # rows 0-1, 2-3 and 4-5 at once
+            sel = gen == gi
+            b = a[sel]
+            level_A[sel] = tab[b & 4095] | tab[b >> 12 & 4095] << 12 | tab[b >> 24] << 24
+        matrices.append(level_A)
+    return OrbitResult(orbit_size, MatrixSet(np.sort(np.concatenate(matrices))))
+
+
 def orbit_lengths(starts, gens: list[AffineMap]) -> tuple[int, ...]:
     """Orbit lengths of the start keys, walked over translation classes.
 
     The generators must generate a group that contains the translations
     (AGL(6,2) itself in every use here), so that orbits are unions of
-    classes.  One visited bit per canonical key is shared by all starts:
+    classes.  One visited flag per canonical key is shared by all starts:
     a start whose class an earlier start's orbit reached raises ValueError,
     since the orbits would not then be distinct.
     """
-    _check_gens(gens)
-    tables = [_KEYS.action(g) for g in gens]
-    visited = np.zeros(1 << (KEY_BITS - 3), dtype=np.uint8)  # one bit per key
+    tables = _key_tables(gens)
+    visited = np.zeros(1 << KEY_BITS, dtype=bool)  # one flag per canonical key
     lengths = []
     for start in starts:
-        frontier = canonical_keys([start])
-        if not _unvisited(visited, frontier)[0]:
+        if visited[canonical_keys([start])[0]]:
             raise ValueError(f"start key {start} lies in an earlier start's orbit")
-        length = 0
-        while frontier.size:
-            _mark(visited, frontier)
-            length += int(class_sizes(frontier).sum())
-            cand = canonical_keys(np.concatenate([_act(tab, frontier) for tab in tables]))
-            frontier = _sorted_distinct(cand[_unvisited(visited, cand)])
-        lengths.append(length)
+        lengths.append(sum(int(class_sizes(keys).sum())
+                           for keys, _ in _class_walk(start, tables, visited)))
     return tuple(lengths)
 
 

@@ -5,8 +5,10 @@ from hypothesis import settings
 from rmcover.classify import fn_rep
 from rmcover.field import agl_generators
 from rmcover.nonlin import build_nl_table
-from rmcover.orbit import MatrixSet, bfs_orbit, canonical_keys, coset_key, image_keys
+from rmcover.orbit import MatrixSet, canonical_keys, coset_key, image_keys
 from rmcover.verify import fn10_sweep_set
+
+import gf2_reference
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -36,7 +38,8 @@ def agl6_gens():
 
 @pytest.fixture(scope="session")
 def fn10_orbit(agl6_gens):
-    return bfs_orbit(coset_key(fn_rep(10)), agl6_gens, transcript=True)
+    """fn_10's orbit by the key-level queue search, with its 130,844 matrices."""
+    return gf2_reference.fifo_orbit(coset_key(fn_rep(10)), agl6_gens, transcript=True)
 
 
 @pytest.fixture(scope="session")

@@ -82,11 +82,9 @@ def test_verify_29_and_310(capsys, cached_tables):
     assert code == 0 and "round1_survivors=6912" in out
 
 
-def test_verify_610_sweeps_every_matrix(capsys, monkeypatch, cached_tables,
-                                         fn10_orbit, tmp_path):
-    # the fn10_orbit fixture stands in for the orbit search; the class set
-    # is chosen, certified and swept in the run, which writes no file
-    monkeypatch.setattr(verify, "bfs_orbit", lambda *args: fn10_orbit)
+def test_verify_610_sweeps_every_matrix(capsys, monkeypatch, cached_tables, tmp_path):
+    # the class set is walked, certified and swept in the run, which writes
+    # no file
     monkeypatch.chdir(tmp_path)
     before = sorted(tmp_path.rglob("*"))
     code, out, _ = run(capsys, "verify", "--stage", "610")

@@ -142,7 +142,7 @@ def test_image_keys_match_coset_act(matrix_set, rng):
         ob.image_keys(BooleanFunction.from_tt(5, 1), keys)
 
 
-@pytest.mark.parametrize("index", [0, 1, 2, 3, 4, 7, 8])
+@pytest.mark.parametrize("index", range(11))
 def test_class_walk_matches_bfs_orbit(agl6_gens, index):
     start = ob.coset_key(fn_rep(index))
     assert ob.orbit_lengths([start], agl6_gens) == (ob.bfs_orbit(start, agl6_gens).orbit_size,)
@@ -151,6 +151,23 @@ def test_class_walk_matches_bfs_orbit(agl6_gens, index):
 def test_class_walk_matches_fn10_orbit(agl6_gens, fn10_orbit):
     start = ob.coset_key(fn_rep(10))
     assert ob.orbit_lengths([start], agl6_gens) == (fn10_orbit.orbit_size,) == (888832,)
+
+
+@pytest.mark.parametrize("index", [1, 3])
+def test_bfs_orbit_records_one_matrix_per_class(agl6_gens, index):
+    # the class walk's matrices reach the classes that the key-level queue
+    # search's matrices reach, one matrix per class (fn_10's sweep set is
+    # checked against the queue search in test_verify)
+    start = ob.coset_key(fn_rep(index))
+    fifo = gf2_reference.fifo_orbit(start, agl6_gens)
+    res = ob.bfs_orbit(start, agl6_gens)
+    assert res.orbit_size == fifo.orbit_size
+    f = fn_rep(index)
+    classes = ob.canonical_keys(ob.image_keys(f, res.matrix_set.members))
+    assert np.unique(classes).size == len(res.matrix_set)
+    assert np.array_equal(np.unique(classes), np.unique(
+        ob.canonical_keys(ob.image_keys(f, fifo.matrix_set.members))))
+    assert int(ob.class_sizes(classes).sum()) == res.orbit_size
 
 
 def test_class_walk_rejects_two_starts_in_one_orbit(agl6_gens):
@@ -166,8 +183,9 @@ def test_class_walk_missing_representative_sums_short(agl6_gens):
     assert sum(ob.orbit_lengths(starts, agl6_gens)) == (1 << 22) - 312480
 
 
-# sha256 of the fn_10 walk's bytes.  Its levels are wider than one chunk of
-# parents, so these pin the claims across chunk boundaries too.
+# sha256 of the bytes of fn_10's key-level queue search.  Its levels are
+# wider than one chunk of parents, so these pin the claims across chunk
+# boundaries too.
 FN10_SHA256 = {
     "members": "2d766a744c067b4a12920a3ed74190f7677c1927eb409a634616f481f54a0934",
     "keys": "f9020479a204c9b5101f3ce6f02c6a87660d6c4197183d06e905e5bfd8f5cb30",
@@ -219,7 +237,7 @@ def test_bfs_orbit_matches_fifo_reference(agl6_gens, index, length):
     start = ob.coset_key(fn_rep(index))
     keys, parents, gis, mats = _fifo_orbit(start, agl6_gens)
     assert len(keys) == length
-    res = ob.bfs_orbit(start, agl6_gens, transcript=True)
+    res = gf2_reference.fifo_orbit(start, agl6_gens, transcript=True)
     assert res.orbit_size == length
     assert res.matrix_set.members.tolist() == mats
     assert res.transcript.keys.tolist() == keys

@@ -549,12 +549,12 @@ def test_prove_rho37(tables, sweep_set):
     assert sweep.counters["matrices"] == 13888
     assert sweep.counters["shards"] == 1
     assert sweep.counters["resumed_shards"] == 0
-    assert sweep.inputs["matrix_set"] == vf.matrixset_digest(sweep_set[0]) == "32802a0479a3f0ae"
+    assert sweep.inputs["matrix_set"] == vf.matrixset_digest(sweep_set[0]) == "5088316d5a557e1b"
     assert by_name["coverage"].inputs == {"matrix_set": sweep.inputs["matrix_set"]}
     assert sweep.inputs["stride"] == 1
     assert by_name["reduction"].counters["total"] == 3 * vf.REDUCTION_SAMPLES
     assert all(v.inputs for v in report.stages)
-    assert payload["stages"][2]["inputs"] == by_name["class_table"].inputs
+    assert payload["stages"][2]["inputs"] == {"target": vf.TARGET}
     assert by_name["witness"].inputs == {"anf": vf.WITNESS_ANF}
 
 
@@ -576,11 +576,16 @@ def test_coverage_negative_controls(tables, sweep_set, coverage_controls, monkey
 
 
 def test_sweep_set_is_one_matrix_per_class(sweep_set, matrix_set):
+    # the class walk's matrices against the queue search's 130,844: each is
+    # one of them, and they reach the same 13,888 classes
     mset, orbit_size = sweep_set
     assert orbit_size == 888832
+    assert len(matrix_set) == 130844
     assert np.isin(mset.members, matrix_set.members).all()
     classes = canonical_keys(image_keys(fn_rep(10), mset.members))
     assert np.unique(classes).size == len(mset) == 13888
+    assert np.array_equal(np.unique(classes), np.unique(
+        canonical_keys(image_keys(fn_rep(10), matrix_set.members))))
     assert vf.check_coverage(mset, orbit_size).passed
 
 
