@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import comb
 
@@ -76,6 +76,7 @@ __all__ = [
     "artifact_meta",
     "build_nl_table",
     "nl_table_values",
+    "translation_periods",
     "CoveringVerdict",
     "check_covering_condition",
     "transform_words",
@@ -378,6 +379,19 @@ def _symmetries(f: BooleanFunction, r: int) -> tuple[np.ndarray, np.ndarray, np.
     return p, c, word.astype(np.int64) @ (1 << np.arange(len(ms)))
 
 
+def translation_periods(f: BooleanFunction, r: int) -> np.ndarray:
+    """The degree-r word sigma of f o tau_c + f for each translation tau_c
+    that fixes f's coset mod RM(r, n), in the order of c (c = 0 first).
+
+    These are `_symmetries` with P the identity, so T[g ^ sigma] = T[g] on
+    f's value table (`nl_table_values`); c -> sigma is linear, so they form
+    a group.  Every translation fixes the coset of a function of degree at
+    most r + 1.
+    """
+    p, _, sigma = _symmetries(f, r)
+    return sigma[p == 0]
+
+
 def _word_images(n: int, r: int, perms: np.ndarray) -> np.ndarray:
     """W[w, i]: the (n-1)-variable degree-r word w relabelled by P_perms[i].
 
@@ -612,6 +626,11 @@ class NlTable:
 
     def sha256(self) -> str:
         """Hex sha256 of the NLT1 payload (header, then the values)."""
+        return self._sha256
+
+    @cached_property
+    def _sha256(self) -> str:
+        # hashed once per table: the values are read-only
         return payload_sha256(self._head(), self.values)
 
     def save(self, path, meta: dict | None = None) -> None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .boolfn import (
     degree,
     homogeneous_part,
     monomial_masks,
+    rref,
     split,
     xor_span,
 )
@@ -44,7 +44,7 @@ from .classify import (
     type_of,
 )
 from .field import AffineMap, SingularMatrixError, agl_generators
-from .nonlin import NlTable, nl_r_recursive
+from .nonlin import NlTable, nl_r_recursive, translation_periods
 from .orbit import (
     MatrixSet,
     bfs_orbit,
@@ -102,15 +102,90 @@ def matrixset_digest(ms: MatrixSet) -> str:
     return hashlib.sha256(ms.members).hexdigest()[:16]
 
 
-def _filter_by_inclusion(cands: np.ndarray, probe: np.ndarray,
-                         allowed: np.ndarray) -> np.ndarray:
-    """Keep the g with probe + g inside the allowed bitmap (probe XOR g)."""
-    out = cands
-    for x in probe:
-        if not out.size:
-            break
-        out = out[allowed[out ^ x]]
+def _least(words: np.ndarray, basis: list[int]) -> np.ndarray:
+    """The least word of each word's coset of span(basis), an RREF basis."""
+    out = words.copy()
+    for b in basis:
+        np.minimum(out, out ^ b, out=out)
     return out
+
+
+def _coset_reps(basis: list[int], nbits: int, block: int):
+    """The least words of the cosets of span(basis) in [0, 2^nbits), the
+    words with no leading bit of the basis, in ascending blocks of
+    2^block (or fewer) words."""
+    lead = sum(1 << b.bit_length() - 1 for b in basis)
+    free = [1 << i for i in range(nbits) if not lead >> i & 1]
+    low = xor_span(free[:block], np.intp)
+    for high in xor_span(free[block:], np.intp).tolist():
+        yield low | high
+
+
+def _periods(t: NlTable) -> list[int]:
+    """An RREF basis of the translation periods of t's base, uncertified."""
+    return rref(translation_periods(t.base, t.r).tolist())
+
+
+def _constant_cosets(t: NlTable, threshold: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """(basis, span, reps): t's translation periods, certified on its
+    values, as an RREF basis and as the array of all the periods, and the
+    least word of each of their cosets on which t >= threshold, ascending.
+
+    t must be constant on every coset: its 2^20 values are gathered in
+    blocks of 2^16, with no index array over all words.  If one coset is
+    not constant, the trivial group takes the periods' place.
+    """
+    nbits = t.values.size.bit_length() - 1
+    basis = _periods(t)
+    while True:
+        span = xor_span(basis, np.intp)
+        reps = []
+        for block in _coset_reps(basis, nbits, max(0, 16 - len(basis))):
+            vals = t.values[block[:, None] ^ span]
+            if not (vals == vals[:, :1]).all():
+                break
+            reps.append(block[vals[:, 0] >= threshold])
+        else:
+            return basis, span, np.concatenate(reps)
+        basis = []  # a coset is not constant; every coset of {0} is
+
+
+def _closed_periods(t: NlTable, levels: list[np.ndarray]) -> list[int]:
+    """An RREF basis of t's translation periods if each of the level sets
+    is a union of their cosets (each coset it meets has all its words in
+    it), else the trivial group's."""
+    basis = _periods(t)
+    for level in levels:
+        if not (np.unique(_least(level, basis), return_counts=True)[1] == 1 << len(basis)).all():
+            return []
+    return basis
+
+
+def _passing(words: np.ndarray, probe: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Mask of the words g with probe XOR g inside the allowed bitmap.
+
+    Either side is walked in chunks of about 2^16 pairs.  Mostly the probe
+    goes against the live words, and the loop stops once none is left;
+    most words fail within a few probe words, so this reads far fewer than
+    its bound of words x probe pairs.  With 16 times fewer words outside
+    the bitmap than words tested, the failing g are marked instead: they
+    are probe XOR y for the y outside.
+    """
+    if 16 * (allowed.size - np.count_nonzero(allowed)) < words.size:
+        failing = np.zeros(allowed.size, dtype=bool)
+        outside = np.flatnonzero(~allowed)
+        step = max(1, (1 << 16) // max(1, probe.size))
+        for s in range(0, outside.size, step):
+            failing[outside[s:s + step, None] ^ probe] = True
+        return ~failing[words]
+    live, s = words, 0
+    while live.size and s < probe.size:
+        step = max(1, (1 << 16) // live.size)
+        live = live[allowed[live[:, None] ^ probe[s:s + step]].all(axis=1)]
+        s += step
+    kept = np.zeros(allowed.size, dtype=bool)
+    kept[live] = True
+    return kept[words]
 
 
 def _family_check(ta: NlTable, tb: NlTable, probes: tuple[int, ...]) -> tuple[int, list]:
@@ -120,28 +195,49 @@ def _family_check(ta: NlTable, tb: NlTable, probes: tuple[int, ...]) -> tuple[in
     tb(g) >= TARGET - ta(0); each probe level h keeps those that pass for
     every x at level h.  Any probes that leave no g are a proof.
 
+    Both tables have translation periods (`translation_periods` of their
+    bases): a group of words p with t(g ^ p) = t(g).  fn_2's and fn_3's
+    tables have 64, fn_9's and fn_10's only 0.  Let Pa and Pb be ta's and
+    tb's.  If tb is constant on the cosets of Pb, then so are the
+    candidates and each bitmap of tb >= TARGET - h, and with them every
+    round's survivors: g ^ p, p in Pb, meets the same tb values as g.
+    The probe words matter only modulo Pb too, since tb(x ^ p ^ g) =
+    tb(x ^ g).  So the rounds run on one word per coset of Pb, the least,
+    and each round's survivors are those cosets expanded.  If every probed
+    level set of ta is a union of cosets of Pa, then a probe's verdict on
+    g is its verdict on g ^ p for p in Pa, since x -> x ^ p maps the level
+    set onto itself: each round tests one live word per coset of Pa and
+    keeps the live words of the cosets that pass.
+
+    Neither group is taken on trust.  tb is checked constant on every
+    coset of Pb (2^20 gathered values, in blocks of representatives), and
+    each probed level set of ta closed under Pa (by counting its words per
+    coset); a group that fails is replaced by the trivial one, on the same
+    path.  The checks read the same values as the stage, so the stage
+    still trusts only the table kernel, as it did without the groups: the
+    symmetry search only proposes them, and a wrong proposal costs time,
+    never soundness.  Every round, counter and counterexample is the one
+    the plain filter over all words gives.
+
     Returns the number of candidates and, per probe, its level set and the
-    g that survive it.
+    g that survive it, ascending.
     """
     for t in (ta, tb):
         _require_63(t, "family check table")
-    cands = tb.values >= TARGET - ta.nl_prev
-    n_cands = int(np.count_nonzero(cands))
-    first, *rest = probes
-    probe, allowed = ta.level_set(first), tb.values >= TARGET - first
-    # the first probe in blocks of 2^17 words (2^20 = cands.size is a
-    # multiple): no index array spans all candidates
-    block = 1 << 17
-    alive = np.concatenate([
-        _filter_by_inclusion(np.arange(s, s + block, dtype=np.uint32)[cands[s:s + block]],
-                             probe, allowed)
-        for s in range(0, cands.size, block)])
-    del cands, allowed
-    rounds = [(probe, alive)]
-    for h in rest:
-        probe = ta.level_set(h)
-        alive = _filter_by_inclusion(alive, probe, tb.values >= TARGET - h)
-        rounds.append((probe, alive))
+    pb, span, alive = _constant_cosets(tb, TARGET - ta.nl_prev)
+    n_cands = alive.size * span.size
+    levels = [ta.level_set(h) for h in probes]
+    pa = _closed_periods(ta, levels)
+    rounds = []
+    for h, level in zip(probes, levels):
+        _, first, group = np.unique(_least(alive, pa), return_index=True,
+                                    return_inverse=True)
+        # asking for indices skips np.unique's masked-array test, whose
+        # first use imports numpy.ma (about 12 ms)
+        probe = np.unique(_least(level.astype(np.intp), pb), return_index=True)[0]
+        passed = _passing(alive[first], probe, tb.values >= TARGET - h)
+        alive = alive[passed[group]]
+        rounds.append((level, np.sort((alive[:, None] ^ span).ravel()).astype(np.uint32)))
     return n_cands, rounds
 
 
@@ -150,6 +246,8 @@ def check_29(t2: NlTable, t9: NlTable) -> Verdict:
 
     The covering condition at TARGET (`_family_check`) probed at level 8 of
     the fn_2 table.  Passing means no candidate g survives the probe.
+    fn_9's table has no translation period, and fn_2's 64 group the 5,760
+    candidates into 90 cosets, so the probe tests 90 words.
     """
     n_cands, [(probe, sat)] = _family_check(t2, t9, (8,))
     counters = {
@@ -167,7 +265,9 @@ def check_310(t3: NlTable, t10: NlTable) -> Verdict:
 
     The covering condition at TARGET (`_family_check`) probed at level 7 of
     the fn_10 table, then at level 9.  Passing means no g survives both
-    rounds.
+    rounds.  fn_10's table has no translation period, and fn_3's has 64:
+    the rounds run on the least words of their 16,384 cosets, 15,228 of
+    them candidates, and round 1 keeps 108 cosets, the 6,912 survivors.
     """
     n_cands, [(_, round1), (_, round2)] = _family_check(t10, t3, (7, 9))
     counters = {
@@ -495,28 +595,26 @@ def _random_cubic(rng: np.random.Generator) -> BooleanFunction:
     return BooleanFunction.from_anf(6, anf)
 
 
-@lru_cache(maxsize=None)
-def _translations() -> tuple[AffineMap, ...]:
-    """The 64 translations x -> x + c of GF(2)^6, in the order of c."""
-    ident = AffineMap.identity(6)
-    return tuple(AffineMap(2, 6, ident.A, tuple(c >> i & 1 for i in range(6)))
-                 for c in range(64))
-
-
 def _normalize_translation(base: BooleanFunction, L) -> BooleanFunction:
-    """base o (L o tau) for the first translation tau that makes T_5 vanish.
+    """base o (L o tau) for the translation tau that makes T_5 vanish.
 
-    Used for the degree-6 class representatives: the degree-5 residue of the
-    full monomial's image is the point indicator away from the all-ones
-    point, and a translation moves it there.  base o (L o tau) =
-    (base o L) o tau, so L is applied once.
+    Used for the degree-6 class representatives.  For f = base o L with
+    the full monomial, T_5(f o tau_c) = T_5(f) + sum_i c_i x_{[6] minus i}:
+    the full monomial's image under x -> x + c adds those terms, and a
+    translation moves no other degree-5 coefficient.  So c_i is the
+    coefficient of x_{[6] minus i} in T_5(f), and it is the only
+    translation that works.  Without the full monomial T_5 is
+    translation-invariant, and only a zero T_5 (tau the identity) works.
+    base o (L o tau) = (base o L) o tau, so L is applied once.
     """
     moved = apply_affine(base, L)
-    for tau in _translations():
-        cand = apply_affine(moved, tau)
-        if homogeneous_part(cand, 5).anf == 0:
-            return cand
-    raise RuntimeError("no translation kills the degree-5 residue")  # pragma: no cover
+    t5 = homogeneous_part(moved, 5).anf
+    if not moved.anf >> _FULL_MONOMIAL & 1:
+        if t5:
+            raise RuntimeError("no translation kills the degree-5 residue")
+        return moved
+    c = tuple(t5 >> (_FULL_MONOMIAL ^ 1 << i) & 1 for i in range(6))
+    return apply_affine(moved, AffineMap(2, 6, AffineMap.identity(6).A, c))
 
 
 def case2_instance(pair: tuple[int, int], rng: np.random.Generator) -> BooleanFunction:

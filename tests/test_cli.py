@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rmcover import cli, verify
+from rmcover.boolfn import BooleanFunction
 from rmcover.cli import main
 from rmcover.nonlin import NlTable
 
@@ -164,6 +165,16 @@ def test_workers_option_refused(capsys, monkeypatch):
         code = exc.code
     out, err = capsys.readouterr()
     assert (code, out) == (2, "") and "--workers" in err
+
+
+def test_verify_all_exits_1_on_a_witness_one_bit_off(capsys, monkeypatch, cached_tables):
+    w = BooleanFunction.from_anf_string(verify.WITNESS_ANF, n=7)
+    monkeypatch.setattr(verify, "WITNESS_ANF",
+                        BooleanFunction.from_tt(7, w.tt ^ 1).to_anf_string())
+    code, out, _ = run(capsys, "verify", "--stage", "all")
+    assert code == 1
+    assert "[fail] witness      nl3=19" in out and "conclusion: inconclusive" in out
+    assert "= 20" not in out
 
 
 def test_verify_deterministic_output(capsys, cached_tables):

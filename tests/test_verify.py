@@ -7,7 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rmcover import verify as vf
-from rmcover.boolfn import BooleanFunction, concat, degree, split
+from rmcover.boolfn import (
+    BooleanFunction,
+    apply_affine,
+    concat,
+    degree,
+    homogeneous_part,
+    rref,
+    split,
+)
 from rmcover.classify import fn_rep, type_of
 from rmcover.field import AffineMap
 from rmcover.nonlin import (
@@ -16,6 +24,7 @@ from rmcover.nonlin import (
     check_covering_condition,
     nl_r_recursive,
     transform_words,
+    translation_periods,
 )
 from rmcover.orbit import MatrixSet, canonical_keys, image_keys
 
@@ -93,6 +102,91 @@ def test_check_29_candidates_follow_the_g0_entry(tables):
     assert v.counters["probe_size"] == 1920 + 1
 
 
+def _walsh(bits):
+    """Integer Walsh-Hadamard transform of a 0/1 array of length 2^k."""
+    a = bits.astype(np.int64)
+    h = 1
+    while h < a.size:
+        v = a.reshape(-1, 2, h)
+        x = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        np.subtract(x, v[:, 1], out=v[:, 1])
+        h *= 2
+    return a
+
+
+def _plain_family_filter(ta, tb, probes, target):
+    # the family check on every word, with no periods: a round keeps the
+    # live g for which no x at the probed level has tb(x ^ g) < target - h,
+    # that is the g where the XOR convolution of the level's indicator with
+    # that of tb < target - h is 0 (computed times 2^20, exact in int64:
+    # transform entries are at most 2^20, so the sums stay below 2^60)
+    alive = np.flatnonzero(tb.values >= target - ta.nl_prev)
+    n_cands, rounds = alive.size, []
+    for h in probes:
+        level = ta.values == h
+        counts = _walsh(_walsh(level) * _walsh(tb.values < target - h))
+        alive = alive[counts[alive] == 0]
+        rounds.append((np.flatnonzero(level), alive))
+    return n_cands, rounds
+
+
+def _assert_matches_plain_filter(ta, tb, probes, target):
+    n_cands, rounds = vf._family_check(ta, tb, probes)
+    ref_cands, ref_rounds = _plain_family_filter(ta, tb, probes, target)
+    assert n_cands == ref_cands
+    for (probe, alive), (ref_probe, ref_alive) in zip(rounds, ref_rounds, strict=True):
+        assert np.array_equal(probe, ref_probe) and np.array_equal(alive, ref_alive)
+        assert alive.dtype == np.uint32
+
+
+FAMILY_CASES = [(2, 9, (8,)), (2, 9, (6, 8, 10)), (10, 3, (7, 9)), (9, 2, (7, 9)),
+                (3, 10, (8,))]
+
+
+@pytest.mark.parametrize("target", [21, 19, 17])
+def test_family_check_matches_the_plain_filter(tables, monkeypatch, target):
+    # one word per coset of the periods gives the probe and survivor arrays
+    # of the filter over every word, round by round
+    monkeypatch.setattr(vf, "TARGET", target)
+    for a, b, probes in FAMILY_CASES:
+        _assert_matches_plain_filter(tables[a], tables[b], probes, target)
+
+
+def test_class_tables_are_invariant_under_their_periods(tables):
+    words = np.arange(1 << 20)
+    dims = []
+    for i in range(11):
+        periods = translation_periods(fn_rep(i), 3)
+        assert periods[0] == 0 and periods.size & periods.size - 1 == 0
+        for p in periods:
+            assert np.array_equal(tables[i].values[words ^ p], tables[i].values)
+        dims.append(len(rref(periods.tolist())))
+    assert dims[2] == dims[3] == 6 and dims[9] == dims[10] == 0
+
+
+def test_a_forged_period_is_refused(tables, monkeypatch):
+    # a word that is not a period of fn_3's table, passed off as one: both
+    # certifications fall back to the trivial group, and the verdicts are
+    # the plain filter's
+    t3, t10 = tables[3], tables[10]
+    real = translation_periods(fn_rep(3), 3)
+    forged = 1
+    assert forged not in real
+    assert not np.array_equal(t3.values[np.arange(1 << 20) ^ forged], t3.values)
+    assert len(vf._constant_cosets(t3, 12)[0]) == 6
+    assert len(vf._closed_periods(t3, [t3.level_set(8)])) == 6
+    monkeypatch.setattr(vf, "translation_periods",
+                        lambda f, r: np.r_[translation_periods(f, r), forged])
+    assert vf._constant_cosets(t3, 12)[0] == []
+    assert vf._closed_periods(t3, [t3.level_set(8)]) == []
+    v = vf.check_310(t3, t10)
+    assert v.passed and v.counters == {
+        "round1_candidates": 974592, "round1_survivors": 6912, "round2_satisfying": 0}
+    for ta, tb, probes in ((t10, t3, (7, 9)), (t3, t10, (8,))):
+        _assert_matches_plain_filter(ta, tb, probes, vf.TARGET)
+
+
 def test_checks_reject_wrong_scale():
     t = build_nl_table(BooleanFunction.zero(5), 3)
     with pytest.raises(ValueError):
@@ -155,6 +249,25 @@ def test_reduction_instances_pinned():
             digest.update(vf.case2_instance(pair, rng).tt.to_bytes(16, "little"))
     assert digest.hexdigest() == (
         "b16f6b2b593e5c22bd0dd6bcd54a9f43aa6ae183bb4ddda890e713898e3c6210")
+
+
+def test_normalizing_translation_read_off_t5(rng):
+    # the translation read off T_5 is the first of the 64 that kills T_5
+    ident = AffineMap.identity(6)
+    for base in (fn_rep(9), fn_rep(10), fn_rep(7)):
+        for _ in range(4):
+            L = vf.random_affine_map(rng)
+            moved = apply_affine(base, L)
+            first = next(
+                cand for c in range(64)
+                if homogeneous_part(cand := apply_affine(
+                    moved, AffineMap(2, 6, ident.A, tuple(c >> i & 1 for i in range(6)))),
+                    5).anf == 0)
+            assert vf._normalize_translation(base, L) == first
+    # without the full monomial only a zero T_5 is normalized, by no move
+    assert vf._normalize_translation(fn_rep(2), ident) == fn_rep(2)
+    with pytest.raises(RuntimeError):
+        vf._normalize_translation(fn_rep(4), ident)
 
 
 def test_reduction_rejects_wrong_shape():
@@ -612,3 +725,17 @@ def test_parity_lemma_needs_an_odd_target(tables, monkeypatch):
     parity = {v.stage: v for v in report.stages}["parity"]
     assert parity.outcome == "fail" and parity.counters == {"diagonal_types_excluded": 0}
     assert report.conclusion == "inconclusive"
+
+
+def test_a_witness_one_bit_off_is_refused(tables, monkeypatch):
+    # bit 0 of the witness's truth table flipped gives nl_3 = 19: the
+    # witness stage fails, and no lower bound or conclusion is claimed
+    w = BooleanFunction.from_anf_string(vf.WITNESS_ANF, n=7)
+    flipped = BooleanFunction.from_tt(7, w.tt ^ 1)
+    monkeypatch.setattr(vf, "WITNESS_ANF", flipped.to_anf_string())
+    report = vf.prove_rho37({i: tables[i] for i in range(11)})
+    witness = {v.stage: v for v in report.stages}["witness"]
+    assert witness.outcome == "fail" and witness.counters["nl3"] == 19
+    assert all(v.passed for v in report.stages if v.stage != "witness")
+    assert report.rho_lower is None and report.rho_upper is None
+    assert report.conclusion == "inconclusive" and "= 20" not in report.to_text()
