@@ -133,11 +133,12 @@ def _constant_cosets(t: NlTable, threshold: int) -> tuple[list[int], np.ndarray,
 
     t must be constant on every coset: its 2^20 values are gathered in
     blocks of 2^16, with no index array over all words.  If one coset is
-    not constant, the trivial group takes the periods' place.
+    not constant, the trivial group takes the periods' place; its cosets
+    are single words, which need no check.
     """
     nbits = t.values.size.bit_length() - 1
     basis = _periods(t)
-    while True:
+    if basis:
         span = xor_span(basis, np.intp)
         reps = []
         for block in _coset_reps(basis, nbits, max(0, 16 - len(basis))):
@@ -147,7 +148,7 @@ def _constant_cosets(t: NlTable, threshold: int) -> tuple[list[int], np.ndarray,
             reps.append(block[vals[:, 0] >= threshold])
         else:
             return basis, span, np.concatenate(reps)
-        basis = []  # a coset is not constant; every coset of {0} is
+    return [], np.zeros(1, np.intp), np.flatnonzero(t.values >= threshold)
 
 
 def _closed_periods(t: NlTable, levels: list[np.ndarray]) -> list[int]:
@@ -164,20 +165,11 @@ def _closed_periods(t: NlTable, levels: list[np.ndarray]) -> list[int]:
 def _passing(words: np.ndarray, probe: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Mask of the words g with probe XOR g inside the allowed bitmap.
 
-    Either side is walked in chunks of about 2^16 pairs.  Mostly the probe
-    goes against the live words, and the loop stops once none is left;
-    most words fail within a few probe words, so this reads far fewer than
-    its bound of words x probe pairs.  With 16 times fewer words outside
-    the bitmap than words tested, the failing g are marked instead: they
-    are probe XOR y for the y outside.
+    The probe is walked against the live words in chunks of about 2^16
+    pairs, and the loop stops once none is left; most words fail within a
+    few probe words, so this reads far fewer than its bound of words x
+    probe pairs.
     """
-    if 16 * (allowed.size - np.count_nonzero(allowed)) < words.size:
-        failing = np.zeros(allowed.size, dtype=bool)
-        outside = np.flatnonzero(~allowed)
-        step = max(1, (1 << 16) // max(1, probe.size))
-        for s in range(0, outside.size, step):
-            failing[outside[s:s + step, None] ^ probe] = True
-        return ~failing[words]
     live, s = words, 0
     while live.size and s < probe.size:
         step = max(1, (1 << 16) // live.size)

