@@ -202,7 +202,8 @@ def _family_check(ta: NlTable, tb: NlTable, probes: tuple[int, ...]) -> tuple[in
     keeps the live words of the cosets that pass.
 
     Neither group is taken on trust.  tb is checked constant on every
-    coset of Pb (2^20 gathered values, in blocks of representatives), and
+    coset of Pb (2^20 gathered values, in blocks of representatives; the
+    cosets of the trivial group are single words and need none), and
     each probed level set of ta closed under Pa (by counting its words per
     coset); a group that fails is replaced by the trivial one, on the same
     path.  The checks read the same values as the stage, so the stage
